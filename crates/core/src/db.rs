@@ -59,8 +59,8 @@ use crowdsim::{
 use datagen::SyntheticDomain;
 use perceptual::{EuclideanEmbeddingConfig, EuclideanEmbeddingModel, ItemId, PerceptualSpace};
 use relational::{
-    executor, sql, Catalog, Column, DataType, PartitionSpec, QueryResult, RelationalError, Schema,
-    Table, Value,
+    executor, sql, Catalog, Column, DataType, Expr, PartitionSpec, QueryResult, RelationalError,
+    Schema, Table, TableView, Value,
 };
 
 use telemetry::{MetricsSnapshot, StateMonitor};
@@ -401,8 +401,23 @@ impl CatalogRead {
             .find(|(shard_name, _)| *shard_name == key)
             .map(|(_, shard)| shard)
             .ok_or_else(|| RelationalError::UnknownTable(name.to_string()))?;
+        if shard.parts.len() == 1 {
+            return Ok(TableRef {
+                view: Held::Guard(shard.read_one(0)),
+                name: key,
+            });
+        }
+        let guards = shard.read_all();
+        let view = shard.view(&guards)?;
+        let mut merged: Option<Table> = None;
+        for slice in view.slices() {
+            merged = Some(match merged.take() {
+                None => (*slice).clone(),
+                Some(acc) => persist::merge_partition_tables(acc, slice)?,
+            });
+        }
         Ok(TableRef {
-            view: shard.read()?,
+            view: Held::Merged(merged.expect("a view holds at least one slice")),
             name: key,
         })
     }
@@ -423,26 +438,38 @@ impl CatalogRead {
     }
 }
 
-/// A borrowed table view, dereferencing to [`Table`].
+/// A table for inspection, dereferencing to [`Table`] — the cold
+/// catalog-browsing API, not a query path.
 ///
 /// For a single-partition table this holds the shard's shared lock —
 /// writers to the table block while it is alive; drop it before
 /// triggering expansions or mutations.  For a partitioned table it holds
-/// an owned merged copy assembled under briefly-held shared partition
-/// locks, so it blocks nothing — but also does not see writes that commit
-/// after it was taken.
+/// an owned copy of the slices merged in partition order, assembled under
+/// briefly-held shared partition locks, so it blocks nothing — but also
+/// does not see writes that commit after it was taken.
 pub struct TableRef<'a> {
-    view: ShardRead<'a>,
+    view: Held<'a>,
     name: String,
+}
+
+/// What a [`TableRef`] holds.
+enum Held<'a> {
+    /// The single partition's shared lock.
+    Guard(RwLockReadGuard<'a, Catalog>),
+    /// An owned merge of every partition slice; no lock held.
+    Merged(Table),
 }
 
 impl std::ops::Deref for TableRef<'_> {
     type Target = Table;
 
     fn deref(&self) -> &Table {
-        self.view
-            .table(&self.name)
-            .expect("a shard always holds its own table")
+        match &self.view {
+            Held::Guard(guard) => guard
+                .table(&self.name)
+                .expect("a shard always holds its own table"),
+            Held::Merged(table) => table,
+        }
     }
 }
 
@@ -604,16 +631,23 @@ pub struct CrowdDb {
 /// One table's unit of catalog locking: one single-table [`Catalog`] *per
 /// partition*, each behind its own [`RwLock`].
 ///
-/// The executor's analysis and execution functions take a `&Catalog`; a
-/// shard satisfies them with a catalog that happens to hold exactly one
-/// table (for partitioned tables: one *slice* of it, or a merged owned
-/// copy for reads), so every statement runs against only the partition
-/// locks it needs and tables never contend with each other.  The shard map
-/// itself (`DbInner::shards`) is guarded by a separate lightweight lock
-/// used only for table creation and handle cloning — the lock order is
-/// table map → shard → partition → WAL segment → manifest (see
+/// The executor's mutation and analysis functions take a `&Catalog`; a
+/// shard satisfies them with a catalog that holds exactly one table (for
+/// partitioned tables: one *slice* of it), so every statement runs
+/// against only the partition locks it needs and tables never contend
+/// with each other.  Reads borrow the slices they need under shared
+/// guards as one [`TableView`] — a `SELECT` whose filter pins the id
+/// column to one partition locks only that one.  The shard map itself
+/// (`DbInner::shards`) is guarded by a separate lightweight lock used
+/// only for table creation and handle cloning — the lock order is table
+/// map → shard → partition → WAL segment → manifest (see
 /// `docs/architecture.md`).
 struct Shard {
+    /// The table name (lower-cased), as each partition catalog keys it.
+    name: String,
+    /// The configured id column (lower-cased): rows route on it, and every
+    /// slice keeps a key index over it.
+    id_column: String,
     /// How rows route to partitions ([`PartitionSpec::Single`] for every
     /// table not created through [`TableOptions::partitions`]).
     spec: PartitionSpec,
@@ -622,20 +656,26 @@ struct Shard {
     parts: Vec<RwLock<Catalog>>,
 }
 
+/// Shared guards on some of a shard's partitions, in ascending `k`.
+type ReadGuards<'a> = Vec<RwLockReadGuard<'a, Catalog>>;
+
 impl Shard {
     /// Wraps a fully built table in a single-partition shard.
-    fn of_table(table: Table) -> Arc<Shard> {
-        Shard::partitioned(PartitionSpec::Single, vec![table])
+    fn of_table(table: Table, id_column: &str) -> Arc<Shard> {
+        Shard::partitioned(PartitionSpec::Single, vec![table], id_column)
     }
 
     /// Builds a shard from per-partition table slices (one per partition
     /// of `spec`, in `k` order — see
-    /// [`persist::split_table_by_partition`]).
-    fn partitioned(spec: PartitionSpec, slices: Vec<Table>) -> Arc<Shard> {
+    /// [`persist::split_table_by_partition`]), declaring `id_column` every
+    /// slice's key.
+    fn partitioned(spec: PartitionSpec, slices: Vec<Table>, id_column: &str) -> Arc<Shard> {
         debug_assert_eq!(spec.partition_count(), slices.len());
+        let name = slices[0].name().to_string();
         let parts = slices
             .into_iter()
-            .map(|slice| {
+            .map(|mut slice| {
+                slice.set_key_column(id_column);
                 let mut catalog = Catalog::new();
                 catalog
                     .create_table(slice)
@@ -643,46 +683,94 @@ impl Shard {
                 RwLock::new(catalog)
             })
             .collect();
-        Arc::new(Shard { spec, parts })
+        Arc::new(Shard {
+            name,
+            id_column: id_column.to_lowercase(),
+            spec,
+            parts,
+        })
     }
 
-    /// A read view of the table.  Single-partition: the partition's shared
-    /// lock, held for the view's lifetime.  Partitioned: all partition
-    /// locks are taken shared in `k` order, the slices are merged into an
-    /// owned whole-table catalog (so `ORDER BY` / `LIMIT` see every row),
-    /// and the locks are released before returning — the view is a
-    /// consistent point-in-time copy.
-    fn read(&self) -> Result<ShardRead<'_>> {
-        if self.parts.len() == 1 {
-            return Ok(ShardRead::Guard(rlock(&self.parts[0])));
-        }
-        let guards: Vec<RwLockReadGuard<'_, Catalog>> = self.parts.iter().map(rlock).collect();
-        let name = guards[0]
-            .table_names()
-            .pop()
-            .expect("partition catalogs hold exactly one table");
-        let mut merged: Option<Table> = None;
-        for guard in &guards {
-            let slice = guard.table(&name).expect("every partition holds the table");
-            merged = Some(match merged.take() {
-                None => slice.clone(),
-                Some(acc) => persist::merge_partition_tables(acc, slice)?,
-            });
-        }
-        drop(guards);
-        let mut catalog = Catalog::new();
-        catalog
-            .create_table(merged.expect("at least one partition"))
-            .expect("a fresh single-table catalog cannot collide");
-        Ok(ShardRead::Merged(Box::new(catalog)))
+    /// Shared guards on every partition, taken in ascending `k` — a
+    /// consistent point-in-time view of the whole table for as long as
+    /// they are held.
+    fn read_all(&self) -> ReadGuards<'_> {
+        self.parts.iter().map(rlock).collect()
     }
 
-    /// A read view of one partition only — schema-complete (every
+    /// Shared guards on the partitions that can hold rows `filter`
+    /// accepts, in ascending `k`.  A filter pinning the id column to one
+    /// value locks only that value's partition, and integer id bounds
+    /// prune a range-partitioned table to the partitions they overlap.
+    /// Everything else — and any filter
+    /// [`Expr::prunes_by_key`](relational::Expr::prunes_by_key) rejects,
+    /// where skipping rows could change the answer — reads every
+    /// partition.
+    fn read_for(&self, filter: Option<&Expr>) -> ReadGuards<'_> {
+        let n = self.parts.len();
+        let targets = match filter.and_then(|f| f.key_range(&self.id_column)) {
+            Some(range) if n > 1 => self.spec.partitions_for(range),
+            _ => 0..n,
+        };
+        if targets.len() == n {
+            return self.read_all();
+        }
+        // Every slice carries the full schema, so the first target's
+        // decides for all of them.
+        let first = rlock(&self.parts[targets.start]);
+        let prunes = filter.is_some_and(|f| {
+            first
+                .table(&self.name)
+                .is_ok_and(|t| f.prunes_by_key(t.schema(), &self.id_column))
+        });
+        if !prunes {
+            drop(first);
+            return self.read_all();
+        }
+        let mut guards = vec![first];
+        guards.extend(self.parts[targets.start + 1..targets.end].iter().map(rlock));
+        guards
+    }
+
+    /// A shared guard on one partition only — schema-complete (every
     /// partition slice carries the table's full schema), row-incomplete.
-    /// Lets a routed mutation run its static analysis pass without
-    /// touching — or blocking on — partitions it does not write.
-    fn read_one(&self, k: usize) -> ShardRead<'_> {
-        ShardRead::Guard(rlock(&self.parts[k]))
+    /// Lets a static analysis pass run without touching — or blocking
+    /// on — partitions the statement does not need.
+    fn read_one(&self, k: usize) -> RwLockReadGuard<'_, Catalog> {
+        rlock(&self.parts[k])
+    }
+
+    /// The table's slices under `guards`, as one borrowed view.
+    fn view<'g>(&self, guards: &'g [RwLockReadGuard<'_, Catalog>]) -> Result<TableView<'g>> {
+        let slices = guards
+            .iter()
+            .map(|guard| guard.table(&self.name))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        Ok(TableView::new(slices)?)
+    }
+
+    /// A partition whose schema serves the static analysis of `statement`.
+    /// Any partition would do; this picks one the statement itself needs
+    /// (an `INSERT`'s first row's, a routed read's first target), so the
+    /// analysis never waits on a writer to an unrelated partition — the
+    /// disjoint-partition guarantees depend on it.
+    fn analysis_partition(&self, statement: &sql::Statement) -> usize {
+        if let sql::Statement::Insert { columns, rows, .. } = statement {
+            let id = columns
+                .iter()
+                .position(|c| c.eq_ignore_ascii_case(&self.id_column))
+                .and_then(|index| rows.first()?.get(index));
+            return self.spec.route_value(id.unwrap_or(&Value::Null));
+        }
+        let filter = match statement {
+            sql::Statement::Update { filter, .. } | sql::Statement::Delete { filter, .. } => {
+                filter.as_ref()
+            }
+            other => select_of(other).and_then(|select| select.filter.as_ref()),
+        };
+        filter
+            .and_then(|f| f.key_range(&self.id_column))
+            .map_or(0, |range| self.spec.partitions_for(range).start)
     }
 
     /// Exclusive access to one partition's catalog.
@@ -694,28 +782,6 @@ impl Shard {
     /// (the deadlock-free order every multi-partition writer uses).
     fn write_all(&self) -> Vec<RwLockWriteGuard<'_, Catalog>> {
         self.parts.iter().map(wlock).collect()
-    }
-}
-
-/// A read view over a shard's table — either a held shared lock
-/// (single-partition) or an owned merged copy (partitioned).  Dereferences
-/// to [`Catalog`] so the executor's `&Catalog` entry points take it
-/// directly.
-enum ShardRead<'a> {
-    /// The single partition's shared lock, held while the view lives.
-    Guard(RwLockReadGuard<'a, Catalog>),
-    /// An owned whole-table merge of every partition slice; no lock held.
-    Merged(Box<Catalog>),
-}
-
-impl std::ops::Deref for ShardRead<'_> {
-    type Target = Catalog;
-
-    fn deref(&self) -> &Catalog {
-        match self {
-            ShardRead::Guard(guard) => guard,
-            ShardRead::Merged(catalog) => catalog,
-        }
     }
 }
 
@@ -1080,26 +1146,13 @@ impl CrowdDb {
         durability: Option<Durability>,
     ) -> Self {
         let mut shards = BTreeMap::new();
-        for name in state.catalog.table_names() {
-            let table = state
-                .catalog
-                .table(&name)
-                .expect("listed table exists")
-                .clone();
-            // Recovery merges every partition into one whole table and
-            // reports the spec separately; re-split along the same routing
-            // arithmetic to rebuild the per-partition shards.  The split
-            // re-inserts rows under the merged (unified) schema, so it
-            // cannot fail.
-            let shard = match state.specs.get(&name) {
-                Some(spec) => Shard::partitioned(
-                    spec.clone(),
-                    persist::split_table_by_partition(&table, &config.id_column, spec)
-                        .expect("re-splitting a recovered table cannot fail"),
-                ),
-                None => Shard::of_table(table),
-            };
-            shards.insert(name, shard);
+        let mut catalog = state.catalog;
+        for name in catalog.table_names() {
+            let table = catalog.drop_table(&name).expect("listed table exists");
+            shards.insert(name, Shard::of_table(table, &config.id_column));
+        }
+        for (name, (spec, slices)) in state.partitioned {
+            shards.insert(name, Shard::partitioned(spec, slices, &config.id_column));
         }
         let monitor = StateMonitor::make_root("crowddb");
         let queries_monitor = monitor.make_child("queries");
@@ -1519,7 +1572,7 @@ impl CrowdDb {
     ) -> Result<()> {
         {
             let shard = self.inner.shard(table_name)?;
-            let catalog = shard.read()?;
+            let catalog = shard.read_one(0);
             let table = catalog.table(table_name)?;
             if !table.schema().contains(&self.inner.config.id_column) {
                 return Err(CrowdDbError::Configuration(format!(
@@ -1734,33 +1787,6 @@ fn select_of(statement: &sql::Statement) -> Option<&sql::SelectStatement> {
     }
 }
 
-/// For an `INSERT` into a partitioned table: one partition the statement's
-/// rows route to (the first row's), so the static analysis pass can read a
-/// partition the insert actually writes instead of the merged all-partition
-/// view — the disjoint-partition-writer guarantee depends on it.  `None`
-/// for every other statement shape (and for single-partition tables, where
-/// the merged view *is* the one partition).
-fn insert_analysis_partition(
-    shard: &Shard,
-    statement: &sql::Statement,
-    config: &CrowdDbConfig,
-) -> Option<usize> {
-    if shard.spec.is_single() {
-        return None;
-    }
-    let sql::Statement::Insert { columns, rows, .. } = statement else {
-        return None;
-    };
-    let id_index = columns
-        .iter()
-        .position(|c| c.eq_ignore_ascii_case(&config.id_column));
-    let row = rows.first()?;
-    let id = id_index
-        .and_then(|index| row.get(index))
-        .unwrap_or(&Value::Null);
-    Some(shard.spec.route_value(id))
-}
-
 impl DbInner {
     /// The shard of one table (any casing).  Fails with
     /// [`RelationalError::UnknownTable`] for tables that do not exist.
@@ -1933,7 +1959,7 @@ impl DbInner {
                 .durability
                 .is_some()
                 .then(|| WalRecord::CreateTable(TableImage::of(&table)));
-            let shard = Shard::of_table(table);
+            let shard = Shard::of_table(table, &self.config.id_column);
             if let Some(record) = record {
                 if let Some(durability) = &self.durability {
                     durability.ensure_store(&name, &PartitionSpec::Single)?;
@@ -1943,7 +1969,7 @@ impl DbInner {
             shards.insert(name, shard);
             return Ok(());
         }
-        let slices = persist::split_table_by_partition(&table, &self.config.id_column, &spec)?;
+        let slices = persist::split_table_by_partition(table, &self.config.id_column, &spec)?;
         if let Some(durability) = &self.durability {
             durability.ensure_store(&name, &spec)?;
             for (k, slice) in slices.iter().enumerate().skip(1) {
@@ -1955,7 +1981,10 @@ impl DbInner {
                 &[WalRecord::CreateTable(TableImage::of(&slices[0]))],
             )?;
         }
-        shards.insert(name, Shard::partitioned(spec, slices));
+        shards.insert(
+            name,
+            Shard::partitioned(spec, slices, &self.config.id_column),
+        );
         Ok(())
     }
 
@@ -2079,10 +2108,7 @@ impl DbInner {
             // partition slice carries the table's full schema — so an
             // INSERT analyzes against one partition it actually writes,
             // never waiting on a writer to an unrelated partition.
-            let catalog = match insert_analysis_partition(&shard, &statement, &self.config) {
-                Some(k) => shard.read_one(k),
-                None => shard.read()?,
-            };
+            let catalog = shard.read_one(shard.analysis_partition(&statement));
             executor::analyze(&statement, &catalog)?
         };
         let mut reports = Vec::new();
@@ -2100,13 +2126,10 @@ impl DbInner {
             if sink.is_live() {
                 if let sql::Statement::Select(select) = &statement {
                     let mut snapshot = {
-                        let catalog = shard.read()?;
-                        let snapshot = executor::execute_select_snapshot(select, &catalog)?;
-                        let provenance = self.snapshot_provenance(
-                            &catalog,
-                            statement.target_table(),
-                            &snapshot,
-                        )?;
+                        let guards = shard.read_for(select.filter.as_ref());
+                        let view = shard.view(&guards)?;
+                        let snapshot = executor::execute_select_snapshot(select, &view)?;
+                        let provenance = self.snapshot_provenance(&view, &snapshot)?;
                         RowSet {
                             columns: snapshot.result.columns,
                             rows: snapshot.result.rows,
@@ -2143,10 +2166,12 @@ impl DbInner {
         // a spurious "-0.00" spend on queries that expanded nothing.
         let crowd_cost = reports.iter().fold(0.0, |total, r| total + r.crowd_cost);
         let result = if statement.is_read_only() {
-            let catalog = shard.read()?;
-            let (result, row_indices) = executor::execute_read_indexed(&statement, &catalog)?;
-            let provenance =
-                self.row_provenance(&catalog, statement.target_table(), &result, &row_indices)?;
+            let filter = select_of(&statement).and_then(|select| select.filter.as_ref());
+            let guards = shard.read_for(filter);
+            let view = shard.view(&guards)?;
+            let (result, row_indices) = executor::execute_read_indexed(&statement, &view)?;
+            let provenance = self.row_provenance(&view, &result, &row_indices)?;
+            drop(guards);
             let mut rows = RowSet {
                 columns: result.columns,
                 rows: result.rows,
@@ -2360,7 +2385,7 @@ impl DbInner {
     ) -> Result<QueryOutcome> {
         let analysis = {
             let shard = self.shard(statement.target_table().unwrap_or_default())?;
-            let catalog = shard.read()?;
+            let catalog = shard.read_one(shard.analysis_partition(statement));
             executor::analyze(statement, &catalog)?
         };
         let columns: Vec<String> = [
@@ -2454,12 +2479,10 @@ impl DbInner {
     /// acquisition may still fill, not a stored fact.
     fn snapshot_provenance(
         &self,
-        catalog: &Catalog,
-        table: Option<&str>,
+        view: &TableView<'_>,
         snapshot: &executor::SnapshotResult,
     ) -> Result<Vec<Vec<CellProvenance>>> {
-        let mut provenance =
-            self.row_provenance(catalog, table, &snapshot.result, &snapshot.row_indices)?;
+        let mut provenance = self.row_provenance(view, &snapshot.result, &snapshot.row_indices)?;
         if !snapshot.missing_columns.is_empty() {
             let missing: Vec<usize> = snapshot
                 .result
@@ -2488,50 +2511,43 @@ impl DbInner {
     /// Builds the per-cell provenance of a result set: `Stored` for factual
     /// columns, the provenance ledger's record for expanded columns, and
     /// `Missing` markers for rows no expansion could ever reach.
+    /// `row_indices` are `view`'s global row indices behind the result
+    /// rows.
     fn row_provenance(
         &self,
-        catalog: &Catalog,
-        table: Option<&str>,
+        view: &TableView<'_>,
         result: &QueryResult,
         row_indices: &[usize],
     ) -> Result<Vec<Vec<CellProvenance>>> {
-        let all_stored = |result: &QueryResult| {
-            result
-                .rows
-                .iter()
-                .map(|row| vec![CellProvenance::Stored; row.len()])
-                .collect()
-        };
-        let table_name = match table {
-            Some(name) => name,
-            None => return Ok(all_stored(result)),
-        };
-        let key = table_name.to_lowercase();
+        let key = view.name();
         let ledger = rlock(&self.provenance);
         let tracked: Vec<Option<&HashMap<ItemId, CellProvenance>>> = result
             .columns
             .iter()
-            .map(|column| ledger.get(&(key.clone(), column.clone())))
+            .map(|column| ledger.get(&(key.to_string(), column.clone())))
             .collect();
         if tracked.iter().all(Option::is_none) {
-            return Ok(all_stored(result));
+            return Ok(result
+                .rows
+                .iter()
+                .map(|row| vec![CellProvenance::Stored; row.len()])
+                .collect());
         }
         // Expanded columns exist, so the table necessarily carries the id
         // column.  Read the id cell of the *result* rows only — a full
         // table id → row mapping per read would put O(table) work on the
         // hot concurrent-read path for a LIMIT-bounded query.
-        let table = catalog.table(table_name)?;
-        let id_idx = table
+        let id_idx = view
             .schema()
             .index_of(&self.config.id_column)
             .ok_or_else(|| {
                 CrowdDbError::Configuration(format!(
-                    "table {table_name} has no id column '{}'",
+                    "table {key} has no id column '{}'",
                     self.config.id_column
                 ))
             })?;
         let item_of_row = |row: usize| -> Option<ItemId> {
-            match table.rows().get(row)?.get(id_idx)? {
+            match view.row(row)?.get(id_idx)? {
                 Value::Integer(id) if *id >= 0 && *id <= u32::MAX as i64 => Some(*id as ItemId),
                 _ => None,
             }
@@ -2606,12 +2622,12 @@ impl DbInner {
     ) -> Result<ExpansionPlan> {
         let key = table_name.to_lowercase();
         let shard = self.shard(table_name)?;
-        let catalog = shard.read()?;
-        let table = catalog.table(table_name)?;
+        let guards = shard.read_all();
+        let table = shard.view(&guards)?;
         let attributes = rlock(&binding.attributes);
         let overrides = rlock(&binding.strategy_overrides);
         planner::build_plan(PlanInputs {
-            table,
+            table: &table,
             table_name: &key,
             id_column: &self.config.id_column,
             columns,
@@ -3714,7 +3730,7 @@ impl DbInner {
         let mut skipped_rows = 0;
         for guard in guards.iter() {
             let (rows, _, skipped) = planner::row_mapping(
-                guard.table(&plan.table)?,
+                &guard.table(&plan.table)?.into(),
                 &self.config.id_column,
                 &plan.table,
             )?;
@@ -3891,19 +3907,19 @@ impl DbInner {
         // the shard lock before any crowd work.
         let shard = self.shard(table_name)?;
         let (labels, eligible) = {
-            let catalog = shard.read()?;
-            let table = catalog.table(table_name)?;
+            let guards = shard.read_all();
+            let table = shard.view(&guards)?;
             let col_idx = table.schema().index_of(&column).ok_or_else(|| {
                 CrowdDbError::Configuration(format!(
                     "column {column} of table {table_name} is not materialized — expand it first"
                 ))
             })?;
             let (rows, items, _skipped) =
-                planner::row_mapping(table, &self.config.id_column, &key)?;
+                planner::row_mapping(&table, &self.config.id_column, &key)?;
             let mut labels = vec![false; space_len];
             for (row, item) in &rows {
                 if (*item as usize) < space_len {
-                    if let Value::Boolean(b) = &table.rows()[*row][col_idx] {
+                    if let Some(Value::Boolean(b)) = table.row(*row).map(|r| &r[col_idx]) {
                         labels[*item as usize] = *b;
                     }
                 }
@@ -3971,8 +3987,11 @@ impl DbInner {
         // wrong movies.
         let mut repaired: HashSet<ItemId> = HashSet::new();
         for guard in guards.iter_mut() {
-            let (rows, _, _) =
-                planner::row_mapping(guard.table(table_name)?, &self.config.id_column, &key)?;
+            let (rows, _, _) = planner::row_mapping(
+                &guard.table(table_name)?.into(),
+                &self.config.id_column,
+                &key,
+            )?;
             let table = guard.table_mut(table_name)?;
             for (row, item) in &rows {
                 if flagged.contains(item) {
@@ -4038,8 +4057,11 @@ impl DbInner {
         let mut items: Vec<ItemId> = Vec::new();
         let mut skipped_rows = 0;
         for guard in guards.iter() {
-            let (rows, part_items, skipped) =
-                planner::row_mapping(guard.table(table_name)?, &self.config.id_column, &key)?;
+            let (rows, part_items, skipped) = planner::row_mapping(
+                &guard.table(table_name)?.into(),
+                &self.config.id_column,
+                &key,
+            )?;
             mappings.push(rows);
             items.extend(part_items);
             skipped_rows += skipped;
@@ -5340,6 +5362,49 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(10))
                 .expect("disjoint-partition insert blocked behind an unrelated partition lock");
             drop(guard);
+        });
+    }
+
+    #[test]
+    fn routed_point_select_takes_only_the_owning_partition_lock() {
+        // The test thread holds the write lock of every partition but the
+        // id's own.  A point select by id must still finish, so it takes
+        // exactly one partition lock; a select no id pins must wait.
+        let db = partitioned_things(40, 4);
+        let spec = PartitionSpec::Hash { n: 4 };
+        let id = 7i64;
+        let owner = spec.route_id(id);
+        let shard = {
+            let shards = rlock(&db.inner.shards);
+            Arc::clone(shards.get("things").unwrap())
+        };
+        let (point_tx, point_rx) = std::sync::mpsc::channel();
+        let (scan_tx, scan_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let guards: Vec<_> = (0..4)
+                .filter(|&k| k != owner)
+                .map(|k| shard.write_one(k))
+                .collect();
+            let db = &db;
+            scope.spawn(move || {
+                let sql =
+                    format!("SELECT name FROM things WHERE item_id = {id} AND name IS NOT NULL");
+                point_tx.send(db.execute(&sql).unwrap().rows).unwrap();
+            });
+            scope.spawn(move || {
+                let sql = "SELECT name FROM things WHERE item_id = 7 OR item_id = 8";
+                scan_tx.send(db.execute(sql).unwrap().rows).unwrap();
+            });
+            let rows = point_rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("a routed point select waited on a partition it does not read");
+            assert_eq!(rows, vec![vec![Value::Text("thing 7".into())]]);
+            assert!(
+                scan_rx.try_recv().is_err(),
+                "an unrouted select finished while partitions were write-locked"
+            );
+            drop(guards);
+            assert_eq!(scan_rx.recv().unwrap().len(), 2);
         });
     }
 }

@@ -531,10 +531,10 @@ pub(crate) struct RecoveredState {
     pub(crate) provenance: ProvenanceLedger,
     pub(crate) incomplete: HashSet<(String, String)>,
     pub(crate) crowd_rounds: u64,
-    /// Partitioning specs of the recovered tables that are *not*
-    /// single-partition — `assemble` re-splits their merged rows into
-    /// per-partition catalog slices with the same routing arithmetic.
-    pub(crate) specs: HashMap<String, PartitionSpec>,
+    /// The recovered tables that are *not* single-partition: their spec
+    /// and one slice per partition, in `k` order, all under one schema.
+    /// These tables are absent from `catalog`.
+    pub(crate) partitioned: BTreeMap<String, (PartitionSpec, Vec<Table>)>,
 }
 
 impl Default for RecoveredState {
@@ -545,7 +545,7 @@ impl Default for RecoveredState {
             provenance: HashMap::new(),
             incomplete: HashSet::new(),
             crowd_rounds: 0,
-            specs: HashMap::new(),
+            partitioned: BTreeMap::new(),
         }
     }
 }
@@ -681,16 +681,15 @@ fn recover_segmented(
         while results.peek().is_some_and(|r| r.table == table) {
             parts.push(results.next().expect("peeked"));
         }
-        let Some((table_state, store)) = merge_table_parts(dir, id_column, &table, parts)? else {
+        let Some((mut table_state, store)) = merge_table_parts(dir, id_column, &table, parts)?
+        else {
             continue; // abandoned half-created table: files removed
         };
         for name in table_state.catalog.table_names() {
-            let recovered = table_state
-                .catalog
-                .table(&name)
-                .expect("listed table exists");
-            state.catalog.create_table(recovered.clone())?;
+            let recovered = table_state.catalog.drop_table(&name)?;
+            state.catalog.create_table(recovered)?;
         }
+        state.partitioned.append(&mut table_state.partitioned);
         for (key, marks) in table_state.provenance {
             state.provenance.entry(key).or_default().extend(marks);
         }
@@ -698,9 +697,6 @@ fn recover_segmented(
         let (groups, _) = table_state.cache.export();
         state.cache.absorb(groups);
         crowd_rounds = crowd_rounds.max(table_state.crowd_rounds);
-        if !store.spec.is_single() {
-            state.specs.insert(table.clone(), store.spec.clone());
-        }
         stores.insert(table, Arc::new(store));
     }
     // Global counters are checkpoint-granular and live in the manifest.
@@ -784,7 +780,7 @@ fn merge_table_parts(
         .collect();
     let mut merged = RecoveredState::default();
     let mut segments: Vec<Arc<Segment>> = Vec::with_capacity(n);
-    let mut merged_table: Option<Table> = None;
+    let mut slices: Vec<Option<Table>> = Vec::with_capacity(n);
     for k in 0..n {
         let part = match by_k.remove(&k) {
             Some(part) => part,
@@ -804,12 +800,8 @@ fn merge_table_parts(
                 }
             }
         };
-        if let Ok(slice) = part.state.catalog.table(table) {
-            merged_table = Some(match merged_table.take() {
-                None => slice.clone(),
-                Some(acc) => merge_partition_tables(acc, slice)?,
-            });
-        }
+        let mut part_catalog = part.state.catalog;
+        slices.push(part_catalog.drop_table(table).ok());
         for (key, marks) in part.state.provenance {
             merged.provenance.entry(key).or_default().extend(marks);
         }
@@ -824,8 +816,8 @@ fn merge_table_parts(
         segments.push(Segment::of_wal(wal, part.dirty));
     }
     merged
-        .catalog
-        .create_table(merged_table.expect("partition 0 carries the table"))?;
+        .partitioned
+        .insert(table.to_string(), (spec.clone(), unify_slices(slices)?));
     Ok(Some((
         merged,
         TableStore {
@@ -833,6 +825,39 @@ fn merge_table_parts(
             parts: segments,
         },
     )))
+}
+
+/// Brings one table's recovered partition slices (`None` where a
+/// partition holds no table) under one schema: partition 0's columns,
+/// then every column only later slices have, in their order, nullable —
+/// the schema [`merge_partition_tables`] would build.  The slices differ
+/// only after a crash tore a schema-changing record's fan-out; a slice
+/// already under the union schema is kept as it is, and only the others
+/// are rebuilt.
+fn unify_slices(slices: Vec<Option<Table>>) -> Result<Vec<Table>> {
+    let first = slices[0]
+        .as_ref()
+        .expect("partition 0 carries the table (checked by the caller)");
+    let name = first.name().to_string();
+    let mut union = first.schema().clone();
+    for slice in slices.iter().flatten() {
+        for column in slice.schema().columns() {
+            if !union.contains(&column.name) {
+                let mut column = column.clone();
+                // The rows of slices without the column get NULL there.
+                column.nullable = true;
+                union.add_column(column)?;
+            }
+        }
+    }
+    slices
+        .into_iter()
+        .map(|slice| match slice {
+            Some(slice) if *slice.schema() == union => Ok(slice),
+            Some(slice) => merge_partition_tables(Table::new(&name, union.clone()), &slice),
+            None => Ok(Table::new(&name, union.clone())),
+        })
+        .collect()
 }
 
 /// Appends `part`'s rows and columns onto `acc`: rows concatenate in
@@ -864,15 +889,15 @@ pub(crate) fn merge_partition_tables(mut acc: Table, part: &Table) -> Result<Tab
     Ok(acc)
 }
 
-/// Splits `table`'s rows into `spec.partition_count()` per-partition
-/// tables (same name, same schema) by routing each row's id-column value.
+/// Splits `table`'s rows — moved, not copied — into
+/// `spec.partition_count()` per-partition tables (same name, same schema)
+/// by routing each row's id-column value.
 /// Rows without an id column land in partition 0, matching
-/// [`PartitionSpec::route_value`]'s `NULL` fallback.  The inverse of the
-/// recovery-time merge — the write path, the checkpoint slicer, and
-/// recovery all route through the same arithmetic, so the three can never
-/// disagree about a row's home partition.
+/// [`PartitionSpec::route_value`]'s `NULL` fallback — the same
+/// arithmetic the write path routes every later row with, so creation and
+/// writes can never disagree about a row's home partition.
 pub(crate) fn split_table_by_partition(
-    table: &Table,
+    table: Table,
     id_column: &str,
     spec: &PartitionSpec,
 ) -> Result<Vec<Table>> {
@@ -881,13 +906,11 @@ pub(crate) fn split_table_by_partition(
         .map(|_| Table::new(table.name(), table.schema().clone()))
         .collect();
     let id_index = table.schema().index_of(id_column);
-    for row in table.rows() {
+    for row in table.into_rows() {
         let k = id_index
             .map(|i| spec.route_value(&row[i]))
             .unwrap_or_default();
-        parts[k]
-            .insert_row(row.clone())
-            .map_err(CrowdDbError::from)?;
+        parts[k].insert_row(row).map_err(CrowdDbError::from)?;
     }
     Ok(parts)
 }
@@ -1183,7 +1206,7 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
         } => {
             let values: HashMap<ItemId, relational::Value> = values.into_iter().collect();
             let table_ref = state.catalog.table(&table)?;
-            let (rows, _, _) = planner::row_mapping(table_ref, ctx.id_column, &table)?;
+            let (rows, _, _) = planner::row_mapping(&table_ref.into(), ctx.id_column, &table)?;
             let table_mut = state.catalog.table_mut(&table)?;
             materialize_column(table_mut, &column, data_type, &values, &rows)?;
             let key = (table.clone(), column.clone());
@@ -1210,7 +1233,7 @@ fn apply(record: WalRecord, state: &mut RecoveredState, ctx: &mut ReplayCtx<'_>)
         } => {
             let values: HashMap<ItemId, relational::Value> = values.into_iter().collect();
             let table_ref = state.catalog.table(&table)?;
-            let (rows, _, _) = planner::row_mapping(table_ref, ctx.id_column, &table)?;
+            let (rows, _, _) = planner::row_mapping(&table_ref.into(), ctx.id_column, &table)?;
             let table_mut = state.catalog.table_mut(&table)?;
             for (row, item) in rows {
                 if let Some(value) = values.get(&item) {
@@ -1304,7 +1327,7 @@ fn state_of_snapshot(image: SnapshotImage) -> Result<RecoveredState> {
         provenance,
         incomplete,
         crowd_rounds: image.crowd_rounds,
-        specs: HashMap::new(),
+        partitioned: BTreeMap::new(),
     })
 }
 
@@ -1506,5 +1529,69 @@ fn reason_of_cause(cause: MissingCause) -> MissingReason {
         MissingCause::OutOfSpace => MissingReason::OutOfSpace,
         MissingCause::NotExpanded => MissingReason::NotExpanded,
         MissingCause::NoItemId => MissingReason::NoItemId,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use relational::{Column, DataType, Schema, Value};
+
+    fn slice(columns: &[&str], ids: &[i64]) -> Table {
+        let schema = Schema::new(
+            columns
+                .iter()
+                .map(|name| Column::new(*name, DataType::Integer))
+                .collect(),
+        )
+        .unwrap();
+        let mut table = Table::new("t", schema);
+        for &id in ids {
+            // The id first, then values distinct per cell.
+            let row = (0..columns.len() as i64)
+                .map(|c| Value::Integer(if c == 0 { id } else { id * 10 + c }));
+            table.insert_row(row.collect()).unwrap();
+        }
+        table
+    }
+
+    /// Recovery installs slices instead of merging and re-splitting them;
+    /// after a torn schema fan-out the two must still agree exactly.
+    #[test]
+    fn torn_schema_slices_unify_like_a_merge_and_resplit() {
+        let spec = PartitionSpec::Range {
+            bounds: vec![10, 20, 30],
+        };
+        let slices = vec![
+            slice(&["item_id", "name", "a"], &[1, 2]),
+            slice(&["item_id", "name"], &[11]),
+            slice(&["item_id", "name", "b"], &[21, 22]),
+            slice(&["item_id", "name"], &[]),
+        ];
+        let merged = slices[1..]
+            .iter()
+            .try_fold(slices[0].clone(), merge_partition_tables)
+            .unwrap();
+        let resplit = split_table_by_partition(merged, "item_id", &spec).unwrap();
+        let mut unified = unify_slices(slices.into_iter().map(Some).collect()).unwrap();
+        assert_eq!(unified, resplit);
+        assert_eq!(
+            unified[0].schema().column_names(),
+            vec!["item_id", "name", "a", "b"]
+        );
+
+        // A partition that never saw the table gets an empty slice, and
+        // slices already under one schema come back untouched.
+        unified[3] = slice(&["item_id", "name", "a", "b"], &[31]);
+        let again = unify_slices(
+            vec![Some(unified[0].clone()), None]
+                .into_iter()
+                .chain(unified[2..].iter().cloned().map(Some))
+                .collect(),
+        )
+        .unwrap();
+        assert!(again[1].is_empty());
+        assert_eq!(again[1].schema(), unified[0].schema());
+        assert_eq!(again[3], unified[3]);
     }
 }

@@ -24,7 +24,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use perceptual::ItemId;
-use relational::{Table, Value};
+use relational::{TableView, Value};
 
 use crate::error::CrowdDbError;
 use crate::expansion::ExpansionStrategy;
@@ -101,8 +101,8 @@ impl ExpansionPlan {
 
 /// Everything the planner needs to know about the table being expanded.
 pub(crate) struct PlanInputs<'a> {
-    /// The table (for rows and schema).
-    pub table: &'a Table,
+    /// The table (for rows and schema), all of its slices.
+    pub table: &'a TableView<'a>,
     /// Lower-cased table name (the plan's key).
     pub table_name: &'a str,
     /// Name of the id column linking rows to perceptual-space items.
@@ -191,7 +191,8 @@ pub(crate) fn build_plan(inputs: PlanInputs<'_>) -> Result<ExpansionPlan> {
 /// without a usable item id.
 pub(crate) type RowMapping = (Vec<(usize, ItemId)>, Vec<ItemId>, usize);
 
-/// Builds the explicit `(row, item id)` mapping of a table.
+/// Builds the explicit `(row, item id)` mapping of a table; rows are the
+/// view's global row indices.
 ///
 /// Rows whose id column is `NULL`, non-integer, negative, or beyond `u32`
 /// carry no item id; they cannot be filled, and their count is returned so
@@ -199,7 +200,11 @@ pub(crate) type RowMapping = (Vec<(usize, ItemId)>, Vec<ItemId>, usize);
 /// ids keep every row (each receives the item's value) but appear once in
 /// the distinct-item list.  The mapping makes no density or contiguity
 /// assumption — ids like `{3, 900, 14}` are as valid as `{0, 1, 2}`.
-pub(crate) fn row_mapping(table: &Table, id_column: &str, table_name: &str) -> Result<RowMapping> {
+pub(crate) fn row_mapping(
+    table: &TableView<'_>,
+    id_column: &str,
+    table_name: &str,
+) -> Result<RowMapping> {
     let id_idx = table.schema().index_of(id_column).ok_or_else(|| {
         CrowdDbError::Configuration(format!("table {table_name} has no id column '{id_column}'"))
     })?;
@@ -207,7 +212,7 @@ pub(crate) fn row_mapping(table: &Table, id_column: &str, table_name: &str) -> R
     let mut seen: HashSet<ItemId> = HashSet::new();
     let mut items: Vec<ItemId> = Vec::new();
     let mut skipped_rows = 0usize;
-    for (row, values) in table.rows().iter().enumerate() {
+    for (row, values) in table.rows().enumerate() {
         match &values[id_idx] {
             Value::Integer(id) if *id >= 0 && *id <= u32::MAX as i64 => {
                 let item = *id as ItemId;
@@ -250,7 +255,7 @@ pub(crate) fn predictions_by_item<T: Copy>(
 mod tests {
     use super::*;
     use crate::extraction::ExtractionConfig;
-    use relational::{Column, DataType, Schema};
+    use relational::{Column, DataType, Schema, Table};
 
     fn table_with_ids(ids: &[i64]) -> Table {
         let schema = Schema::new(vec![
@@ -288,7 +293,7 @@ mod tests {
             "IS_COMEDY".to_string(), // duplicate, different case
         ];
         let plan = build_plan(PlanInputs {
-            table: &table,
+            table: &(&table).into(),
             table_name: "things",
             id_column: "item_id",
             columns: &columns,
@@ -324,7 +329,7 @@ mod tests {
         overrides.insert("b".to_string(), perceptual(30));
         let columns = vec!["a".to_string(), "b".to_string()];
         let plan = build_plan(PlanInputs {
-            table: &table,
+            table: &(&table).into(),
             table_name: "things",
             id_column: "item_id",
             columns: &columns,
@@ -350,7 +355,7 @@ mod tests {
             [("x".to_string(), "X".to_string())].into_iter().collect();
         let columns = vec!["x".to_string()];
         let plan = build_plan(PlanInputs {
-            table: &table,
+            table: &(&table).into(),
             table_name: "things",
             id_column: "item_id",
             columns: &columns,
@@ -388,7 +393,7 @@ mod tests {
         table
             .insert_row(vec![Value::Integer(5_000_000_000)])
             .unwrap();
-        let (rows, items, skipped) = row_mapping(&table, "item_id", "things").unwrap();
+        let (rows, items, skipped) = row_mapping(&(&table).into(), "item_id", "things").unwrap();
         assert_eq!(rows, vec![(0, 4)]);
         assert_eq!(items, vec![4]);
         assert_eq!(
@@ -402,7 +407,7 @@ mod tests {
         let table = table_with_ids(&[0, 1]);
         let columns = vec!["mystery".to_string()];
         let err = build_plan(PlanInputs {
-            table: &table,
+            table: &(&table).into(),
             table_name: "things",
             id_column: "item_id",
             columns: &columns,

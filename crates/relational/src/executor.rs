@@ -2,10 +2,11 @@
 
 use crate::catalog::Catalog;
 use crate::error::RelationalError;
-use crate::schema::{Column, Schema};
+use crate::schema::{name_matches, Column, Schema};
 use crate::sql::{OrderBy, Projection, SelectStatement, Statement};
 use crate::table::Table;
 use crate::value::Value;
+use crate::view::TableView;
 use crate::Result;
 
 /// The result of executing a statement.
@@ -87,11 +88,15 @@ pub fn analyze(statement: &Statement, catalog: &Catalog) -> Result<StatementAnal
 /// Passing a write statement is a logic error and reported as
 /// [`RelationalError::InvalidStatement`].
 pub fn execute_read(statement: &Statement, catalog: &Catalog) -> Result<QueryResult> {
-    execute_read_indexed(statement, catalog).map(|(result, _)| result)
+    match statement {
+        Statement::Select(select) => execute_select(select, catalog),
+        other => Err(not_a_read(other)),
+    }
 }
 
-/// Like [`execute_read`], additionally returning the table row index behind
-/// each result row (parallel to `result.rows`).
+/// Like [`execute_read`], against a [`TableView`] of the statement's
+/// table, additionally returning the view's global row index behind each
+/// result row (parallel to `result.rows`).
 ///
 /// Row-level lineage is what a caller needs to attach *provenance* to the
 /// returned cells: the projected values alone no longer say which physical
@@ -100,18 +105,30 @@ pub fn execute_read(statement: &Statement, catalog: &Catalog) -> Result<QueryRes
 /// cell, whether the value was stored, crowd-derived, cached, or missing.
 pub fn execute_read_indexed(
     statement: &Statement,
-    catalog: &Catalog,
+    view: &TableView<'_>,
 ) -> Result<(QueryResult, Vec<usize>)> {
+    let Statement::Select(select) = statement else {
+        return Err(not_a_read(statement));
+    };
+    let snapshot = execute_select_core(select, view, false)?;
+    debug_assert!(
+        snapshot.missing_columns.is_empty(),
+        "the strict path errors on unknown columns instead of recording them"
+    );
+    Ok((snapshot.result, snapshot.row_indices))
+}
+
+/// The error of a read entry point handed anything but a `SELECT`.
+fn not_a_read(statement: &Statement) -> RelationalError {
     match statement {
-        Statement::Select(select) => execute_select_indexed(select, catalog),
-        Statement::ExplainExpansion(_) => Err(RelationalError::InvalidStatement(
+        Statement::ExplainExpansion(_) => RelationalError::InvalidStatement(
             "EXPLAIN EXPANSION is answered by the crowd layer, not the relational engine \
              (the plan it describes does not exist here)"
                 .into(),
-        )),
-        other => Err(RelationalError::InvalidStatement(format!(
+        ),
+        other => RelationalError::InvalidStatement(format!(
             "execute_read got a write statement: {other:?}"
-        ))),
+        )),
     }
 }
 
@@ -122,7 +139,7 @@ pub fn execute_read_indexed(
 pub struct SnapshotResult {
     /// The rows and columns, shaped exactly like the eventual full answer.
     pub result: QueryResult,
-    /// The table row index behind each result row (parallel to
+    /// The view's global row index behind each result row (parallel to
     /// `result.rows`), as in [`execute_read_indexed`].
     pub row_indices: Vec<usize>,
     /// Projected columns that are absent from the schema (lower-cased) —
@@ -143,9 +160,9 @@ pub struct SnapshotResult {
 /// reject rows exactly as they would over an existing-but-unfilled column.
 pub fn execute_select_snapshot(
     select: &SelectStatement,
-    catalog: &Catalog,
+    view: &TableView<'_>,
 ) -> Result<SnapshotResult> {
-    execute_select_core(select, catalog, true)
+    execute_select_core(select, view, true)
 }
 
 /// The one `SELECT` implementation behind both the strict and the snapshot
@@ -156,13 +173,20 @@ pub fn execute_select_snapshot(
 /// body keeps the two paths' ordering/limit/projection semantics from ever
 /// drifting apart: the streamed snapshot must have exactly the shape of
 /// the answer the strict executor later produces.
+///
+/// A slice with a live key index (see [`Table::set_key_column`]) answers
+/// a predicate that bounds its key from the index instead of a scan when
+/// [`crate::Expr::prunes_by_key`] allows; the candidates are re-checked against
+/// the whole predicate in row order, so the answer equals the scan's.
 fn execute_select_core(
     select: &SelectStatement,
-    catalog: &Catalog,
+    view: &TableView<'_>,
     lenient: bool,
 ) -> Result<SnapshotResult> {
-    let table = catalog.table(&select.table)?;
-    let schema = table.schema();
+    if !name_matches(&select.table, view.name()) {
+        return Err(RelationalError::UnknownTable(select.table.clone()));
+    }
+    let schema = view.schema();
 
     // Resolve every referenced column up front (so unknown columns error —
     // or register as missing — even for empty tables, deterministically).
@@ -178,7 +202,7 @@ fn execute_select_core(
                 Ok(None)
             }
             None => Err(RelationalError::UnknownColumn {
-                table: table.name().to_string(),
+                table: view.name().to_string(),
                 column: name.to_lowercase(),
             }),
         }
@@ -208,15 +232,35 @@ fn execute_select_core(
     // Scan and filter.  Under snapshot semantics a predicate over a
     // missing column evaluates to NULL and rejects the row, as it would
     // over an existing-but-unfilled column.
-    let mut matching: Vec<usize> = Vec::new();
-    for (i, row) in table.rows().iter().enumerate() {
-        let keep = match &select.filter {
-            Some(filter) if lenient => filter.matches_lenient(schema, row, table.name())?,
-            Some(filter) => filter.matches(schema, row, table.name())?,
-            None => true,
+    let filter = match &select.filter {
+        Some(filter) if lenient => Some(filter.bind_lenient(schema)),
+        Some(filter) => Some(filter.bind(schema, view.name())?),
+        None => None,
+    };
+    // Skipping rows is safe only when no skipped row could have failed
+    // the predicate.
+    let probe_filter = select
+        .filter
+        .as_ref()
+        .filter(|_| filter.as_ref().is_some_and(|f| !f.can_fail()));
+    let probe = |slice: &Table| -> Option<Vec<usize>> {
+        let range = probe_filter?.key_range(slice.key_column()?)?;
+        slice.rows_in_key_range(range)
+    };
+    let mut matching: Vec<(usize, &[Value])> = Vec::new();
+    for (k, slice) in view.slices().iter().enumerate() {
+        let base = view.offset(k);
+        let rows = slice.rows();
+        let mut keep = |i: usize| -> Result<()> {
+            let row = rows[i].as_slice();
+            if filter.as_ref().map_or(Ok(true), |f| f.matches(row))? {
+                matching.push((base + i, row));
+            }
+            Ok(())
         };
-        if keep {
-            matching.push(i);
+        match probe(slice) {
+            Some(candidates) => candidates.into_iter().try_for_each(&mut keep)?,
+            None => (0..rows.len()).try_for_each(&mut keep)?,
         }
     }
 
@@ -224,9 +268,8 @@ fn execute_select_core(
     // is a no-op: the scan order is kept, which is also what
     // NULLs-sort-equal would yield.
     if let (Some(OrderBy { ascending, .. }), Some(col_idx)) = (&select.order_by, order_index) {
-        matching.sort_by(|&a, &b| {
-            let va = &table.rows()[a][col_idx];
-            let vb = &table.rows()[b][col_idx];
+        matching.sort_by(|(_, a), (_, b)| {
+            let (va, vb) = (&a[col_idx], &b[col_idx]);
             // NULLs sort last regardless of direction.
             let ord = match (va.is_null(), vb.is_null()) {
                 (true, true) => std::cmp::Ordering::Equal,
@@ -251,11 +294,11 @@ fn execute_select_core(
     let columns: Vec<String> = projected.iter().map(|(n, _)| n.clone()).collect();
     let rows: Vec<Vec<Value>> = matching
         .iter()
-        .map(|&i| {
+        .map(|(_, row)| {
             projected
                 .iter()
                 .map(|(_, index)| match index {
-                    Some(index) => table.rows()[i][*index].clone(),
+                    Some(index) => row[*index].clone(),
                     None => Value::Null,
                 })
                 .collect()
@@ -268,7 +311,7 @@ fn execute_select_core(
             rows,
             rows_affected: 0,
         },
-        row_indices: matching,
+        row_indices: matching.into_iter().map(|(index, _)| index).collect(),
         missing_columns,
     })
 }
@@ -318,13 +361,12 @@ fn matching_rows(table: &Table, filter: Option<&crate::expr::Expr>) -> Result<Ve
             }
         }
     }
+    let filter = filter
+        .map(|f| f.bind(table.schema(), table.name()))
+        .transpose()?;
     let mut matching = Vec::new();
     for (i, row) in table.rows().iter().enumerate() {
-        let keep = match filter {
-            Some(f) => f.matches(table.schema(), row, table.name())?,
-            None => true,
-        };
-        if keep {
+        if filter.as_ref().map_or(Ok(true), |f| f.matches(row))? {
             matching.push(i);
         }
     }
@@ -387,21 +429,8 @@ fn execute_delete(
 
 /// Executes a `SELECT`.
 pub fn execute_select(select: &SelectStatement, catalog: &Catalog) -> Result<QueryResult> {
-    execute_select_indexed(select, catalog).map(|(result, _)| result)
-}
-
-/// Executes a `SELECT`, returning the result alongside the table row index
-/// behind each result row (see [`execute_read_indexed`]).
-pub fn execute_select_indexed(
-    select: &SelectStatement,
-    catalog: &Catalog,
-) -> Result<(QueryResult, Vec<usize>)> {
-    let snapshot = execute_select_core(select, catalog, false)?;
-    debug_assert!(
-        snapshot.missing_columns.is_empty(),
-        "the strict path errors on unknown columns instead of recording them"
-    );
-    Ok((snapshot.result, snapshot.row_indices))
+    let view = TableView::from(catalog.table(&select.table)?);
+    Ok(execute_select_core(select, &view, false)?.result)
 }
 
 fn execute_insert(
@@ -514,7 +543,8 @@ mod tests {
     fn indexed_select_reports_the_physical_row_behind_each_result_row() {
         let catalog = setup();
         let stmt = parse("SELECT name FROM movies WHERE year < 1977 ORDER BY rating DESC").unwrap();
-        let (result, rows) = execute_read_indexed(&stmt, &catalog).unwrap();
+        let view = TableView::from(catalog.table("movies").unwrap());
+        let (result, rows) = execute_read_indexed(&stmt, &view).unwrap();
         // By rating: Psycho (row 1), Vertigo (row 2), Rocky (row 0);
         // Grease (1978) is filtered out.
         assert_eq!(rows, vec![1, 2, 0]);
@@ -524,7 +554,7 @@ mod tests {
         // Write statements are rejected, as on the plain read path.
         let stmt = parse("DELETE FROM movies").unwrap();
         assert!(matches!(
-            execute_read_indexed(&stmt, &catalog),
+            execute_read_indexed(&stmt, &view),
             Err(RelationalError::InvalidStatement(_))
         ));
     }
@@ -798,6 +828,7 @@ mod tests {
     #[test]
     fn snapshot_select_serves_missing_columns_as_null() {
         let catalog = setup();
+        let view = TableView::from(catalog.table("movies").unwrap());
         // `is_comedy` does not exist: the strict path errors, the snapshot
         // path answers with the column all-NULL and the predicate over it
         // rejecting every row (NULL-rejects semantics).
@@ -805,7 +836,7 @@ mod tests {
             Statement::Select(select) => select,
             other => panic!("expected SELECT, got {other:?}"),
         };
-        let snapshot = execute_select_snapshot(&select, &catalog).unwrap();
+        let snapshot = execute_select_snapshot(&select, &view).unwrap();
         assert_eq!(snapshot.result.columns, vec!["name", "is_comedy"]);
         assert_eq!(snapshot.missing_columns, vec!["is_comedy"]);
         assert_eq!(snapshot.result.rows.len(), 3);
@@ -817,7 +848,7 @@ mod tests {
             Statement::Select(select) => select,
             other => panic!("expected SELECT, got {other:?}"),
         };
-        let snapshot = execute_select_snapshot(&select, &catalog).unwrap();
+        let snapshot = execute_select_snapshot(&select, &view).unwrap();
         assert!(snapshot.result.rows.is_empty());
         assert_eq!(snapshot.missing_columns, vec!["is_comedy"]);
 
@@ -832,7 +863,7 @@ mod tests {
             Statement::Select(select) => select,
             other => panic!("expected SELECT, got {other:?}"),
         };
-        let snapshot = execute_select_snapshot(&select, &catalog).unwrap();
+        let snapshot = execute_select_snapshot(&select, &view).unwrap();
         assert_eq!(snapshot.result.rows.len(), 3);
         assert_eq!(snapshot.missing_columns, vec!["is_comedy", "humor"]);
 
@@ -842,9 +873,10 @@ mod tests {
             Statement::Select(select) => select,
             other => panic!("expected SELECT, got {other:?}"),
         };
-        let snapshot = execute_select_snapshot(&select, &catalog).unwrap();
+        let snapshot = execute_select_snapshot(&select, &view).unwrap();
         assert!(snapshot.missing_columns.is_empty());
-        let (strict, indices) = execute_select_indexed(&select, &catalog).unwrap();
+        let (strict, indices) =
+            execute_read_indexed(&Statement::Select(select.clone()), &view).unwrap();
         assert_eq!(snapshot.result, strict);
         assert_eq!(snapshot.row_indices, indices);
     }
@@ -858,7 +890,11 @@ mod tests {
             Err(RelationalError::InvalidStatement(_))
         ));
         assert!(matches!(
-            execute_read_indexed(&stmt, &catalog),
+            execute_read_indexed(&stmt, &TableView::from(catalog.table("movies").unwrap())),
+            Err(RelationalError::InvalidStatement(_))
+        ));
+        assert!(matches!(
+            execute_read(&stmt, &catalog),
             Err(RelationalError::InvalidStatement(_))
         ));
         // But analysis sees straight through to the wrapped SELECT.

@@ -5,13 +5,14 @@
 //! the Kleene truth tables, and a `WHERE` predicate only accepts rows whose
 //! predicate evaluates to *true* (not to `NULL`).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
-use crate::schema::Schema;
-use crate::value::Value;
+use crate::schema::{name_matches, Schema};
+use crate::value::{DataType, Value};
 use crate::Result;
 
 /// Binary operators.
@@ -174,25 +175,7 @@ impl Expr {
             }
             Expr::UnaryOp { op, expr } => {
                 let v = expr.evaluate_inner(schema, row, table_name, lenient)?;
-                match op {
-                    UnaryOperator::Not => Ok(match v {
-                        Value::Null => Value::Null,
-                        Value::Boolean(b) => Value::Boolean(!b),
-                        other => {
-                            return Err(RelationalError::Evaluation(format!(
-                                "NOT applied to non-boolean value {other}"
-                            )))
-                        }
-                    }),
-                    UnaryOperator::Negate => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Integer(i) => Ok(Value::Integer(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        other => Err(RelationalError::Evaluation(format!(
-                            "cannot negate non-numeric value {other}"
-                        ))),
-                    },
-                }
+                evaluate_unary(*op, &v)
             }
             Expr::IsNull(expr) => {
                 let v = expr.evaluate_inner(schema, row, table_name, lenient)?;
@@ -209,13 +192,7 @@ impl Expr {
     /// is the boolean `true` (SQL `WHERE` semantics — `NULL` rejects the
     /// row).
     pub fn matches(&self, schema: &Schema, row: &[Value], table_name: &str) -> Result<bool> {
-        match self.evaluate(schema, row, table_name)? {
-            Value::Boolean(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(RelationalError::Evaluation(format!(
-                "WHERE predicate evaluated to non-boolean value {other}"
-            ))),
-        }
+        predicate_truth(&self.evaluate(schema, row, table_name)?)
     }
 
     /// [`matches`](Expr::matches) under [`evaluate_lenient`]'s
@@ -230,13 +207,343 @@ impl Expr {
         row: &[Value],
         table_name: &str,
     ) -> Result<bool> {
-        match self.evaluate_lenient(schema, row, table_name)? {
-            Value::Boolean(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(RelationalError::Evaluation(format!(
-                "WHERE predicate evaluated to non-boolean value {other}"
-            ))),
+        predicate_truth(&self.evaluate_lenient(schema, row, table_name)?)
+    }
+
+    /// Resolves every column reference against `schema` once, for
+    /// evaluation against many rows.  A column the schema lacks is
+    /// [`RelationalError::UnknownColumn`], as in [`evaluate`](Expr::evaluate).
+    pub fn bind(&self, schema: &Schema, table_name: &str) -> Result<BoundExpr> {
+        self.bind_node(schema, Some(table_name)).map(BoundExpr)
+    }
+
+    /// [`bind`](Expr::bind) under [`evaluate_lenient`](Expr::evaluate_lenient)'s
+    /// semantics: a column the schema lacks evaluates to `NULL`.
+    pub fn bind_lenient(&self, schema: &Schema) -> BoundExpr {
+        BoundExpr(
+            self.bind_node(schema, None)
+                .expect("lenient binding accepts unknown columns"),
+        )
+    }
+
+    /// `table_name` is `None` under lenient binding.
+    fn bind_node(&self, schema: &Schema, table_name: Option<&str>) -> Result<Node> {
+        let bind = |expr: &Expr| expr.bind_node(schema, table_name).map(Box::new);
+        Ok(match self {
+            Expr::Column(name) => match (schema.index_of(name), table_name) {
+                (Some(index), _) => Node::Column {
+                    index,
+                    ty: schema.columns()[index].data_type,
+                },
+                (None, None) => Node::Literal(Value::Null),
+                (None, Some(table)) => {
+                    return Err(RelationalError::UnknownColumn {
+                        table: table.to_string(),
+                        column: name.to_lowercase(),
+                    })
+                }
+            },
+            Expr::Literal(value) => Node::Literal(value.clone()),
+            Expr::BinaryOp { left, op, right } => Node::Binary {
+                left: bind(left)?,
+                op: *op,
+                right: bind(right)?,
+            },
+            Expr::UnaryOp { op, expr } => Node::Unary {
+                op: *op,
+                expr: bind(expr)?,
+            },
+            Expr::IsNull(expr) => Node::IsNull(bind(expr)?),
+            Expr::IsNotNull(expr) => Node::IsNotNull(bind(expr)?),
+        })
+    }
+
+    /// The integer bounds the predicate's top-level `AND` conjuncts
+    /// (`column = k`, `column < k`, `k <= column`, … with an integer
+    /// literal `k`) place on `column`, a lower-cased name.  A row the
+    /// predicate accepts whose `column` holds an integer holds one inside
+    /// the range.  `None` when no such conjunct exists — `OR`, float
+    /// literals and `NULL` never bound the key.
+    pub fn key_range(&self, column: &str) -> Option<KeyRange> {
+        let mut range = None;
+        self.narrow_key_range(column, &mut range);
+        range
+    }
+
+    fn narrow_key_range(&self, column: &str, range: &mut Option<KeyRange>) {
+        let Expr::BinaryOp { left, op, right } = self else {
+            return;
+        };
+        if *op == BinaryOperator::And {
+            left.narrow_key_range(column, range);
+            right.narrow_key_range(column, range);
+            return;
         }
+        let names = |expr: &Expr| matches!(expr, Expr::Column(name) if name_matches(name, column));
+        let (op, key) = match (names(left), names(right)) {
+            (true, false) => (*op, right.integer_literal()),
+            (false, true) => (op.flipped(), left.integer_literal()),
+            _ => return,
+        };
+        let Some(key) = key.map(i128::from) else {
+            return;
+        };
+        let (lo, hi) = match op {
+            BinaryOperator::Eq => (key, key),
+            BinaryOperator::Gt => (key + 1, i128::from(i64::MAX)),
+            BinaryOperator::GtEq => (key, i128::from(i64::MAX)),
+            BinaryOperator::Lt => (i128::from(i64::MIN), key - 1),
+            BinaryOperator::LtEq => (i128::from(i64::MIN), key),
+            _ => return,
+        };
+        let current = range.get_or_insert(KeyRange::ALL);
+        let lo = lo.max(i128::from(current.lo));
+        let hi = hi.min(i128::from(current.hi));
+        // Both casts are in range whenever lo <= hi: lo >= current.lo and
+        // hi <= current.hi.
+        *current = if lo > hi {
+            KeyRange::EMPTY
+        } else {
+            KeyRange {
+                lo: lo as i64,
+                hi: hi as i64,
+            }
+        };
+    }
+
+    /// `k` for a literal `k` or `-k` (the parser's spelling of a negative
+    /// literal).
+    fn integer_literal(&self) -> Option<i64> {
+        match self {
+            Expr::Literal(Value::Integer(k)) => Some(*k),
+            Expr::UnaryOp {
+                op: UnaryOperator::Negate,
+                expr,
+            } => match **expr {
+                Expr::Literal(Value::Integer(k)) => k.checked_neg(),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// True when rows whose `column` (a lower-cased name) lies outside
+    /// [`key_range`](Expr::key_range) can be skipped without changing the
+    /// answer: `schema` holds `column` as `INTEGER`, so every stored value
+    /// is an exact `i64` or `NULL`, and the predicate cannot fail on any
+    /// row, so skipping rows never hides an error a full scan would raise.
+    pub fn prunes_by_key(&self, schema: &Schema, column: &str) -> bool {
+        schema
+            .column(column)
+            .is_some_and(|c| c.data_type == DataType::Integer)
+            && !self.bind_lenient(schema).can_fail()
+    }
+}
+
+impl BinaryOperator {
+    /// The operator with its operands swapped (`a < b` ⇔ `b > a`).
+    fn flipped(self) -> BinaryOperator {
+        use BinaryOperator::*;
+        match self {
+            Lt => Gt,
+            LtEq => GtEq,
+            Gt => Lt,
+            GtEq => LtEq,
+            other => other,
+        }
+    }
+}
+
+/// Inclusive integer bounds `lo..=hi` on a key column; empty when
+/// `lo > hi`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyRange {
+    /// Smallest key in the range.
+    pub lo: i64,
+    /// Largest key in the range.
+    pub hi: i64,
+}
+
+impl KeyRange {
+    /// Every key.
+    pub const ALL: KeyRange = KeyRange {
+        lo: i64::MIN,
+        hi: i64::MAX,
+    };
+    /// No key.
+    pub const EMPTY: KeyRange = KeyRange { lo: 0, hi: -1 };
+
+    /// True when no key lies in the range.
+    pub fn is_empty(&self) -> bool {
+        self.lo > self.hi
+    }
+}
+
+/// An [`Expr`] with its column references resolved to row positions (see
+/// [`Expr::bind`]).  Evaluation does no name lookups and borrows row
+/// values instead of cloning them; its results equal
+/// [`Expr::evaluate`]'s (or [`Expr::evaluate_lenient`]'s).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BoundExpr(Node);
+
+#[derive(Debug, Clone, PartialEq)]
+enum Node {
+    /// A schema column, with its declared type.
+    Column {
+        index: usize,
+        ty: DataType,
+    },
+    /// A literal, or a column absent from the schema under lenient binding.
+    Literal(Value),
+    Binary {
+        left: Box<Node>,
+        op: BinaryOperator,
+        right: Box<Node>,
+    },
+    Unary {
+        op: UnaryOperator,
+        expr: Box<Node>,
+    },
+    IsNull(Box<Node>),
+    IsNotNull(Box<Node>),
+}
+
+/// What a node can evaluate to, besides `NULL`.  `Int` holds exact
+/// integers only; `Num` may hold floats, whose `NaN` makes ordering
+/// comparisons fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Null,
+    Bool,
+    Int,
+    Num,
+    Text,
+}
+
+impl BoundExpr {
+    /// Evaluates the expression against one row of the schema it was
+    /// bound to.
+    pub fn evaluate<'r>(&'r self, row: &'r [Value]) -> Result<Cow<'r, Value>> {
+        self.0.evaluate(row)
+    }
+
+    /// Evaluates the expression as a `WHERE` predicate, as
+    /// [`Expr::matches`] does.
+    pub fn matches(&self, row: &[Value]) -> Result<bool> {
+        predicate_truth(&*self.0.evaluate(row)?)
+    }
+
+    /// False when [`matches`](BoundExpr::matches) returns `Ok` on every
+    /// row of the bound schema — decided from the column types alone, and
+    /// conservatively: `true` does not mean some row fails.
+    pub fn can_fail(&self) -> bool {
+        !matches!(self.0.kind(), Some(Kind::Bool | Kind::Null))
+    }
+}
+
+impl Node {
+    fn evaluate<'r>(&'r self, row: &'r [Value]) -> Result<Cow<'r, Value>> {
+        Ok(match self {
+            Node::Column { index, .. } => Cow::Borrowed(&row[*index]),
+            Node::Literal(value) => Cow::Borrowed(value),
+            Node::Binary { left, op, right } => {
+                let (l, r) = (left.evaluate(row)?, right.evaluate(row)?);
+                Cow::Owned(evaluate_binary(&l, *op, &r)?)
+            }
+            Node::Unary { op, expr } => Cow::Owned(evaluate_unary(*op, &*expr.evaluate(row)?)?),
+            Node::IsNull(expr) => Cow::Owned(Value::Boolean(expr.evaluate(row)?.is_null())),
+            Node::IsNotNull(expr) => Cow::Owned(Value::Boolean(!expr.evaluate(row)?.is_null())),
+        })
+    }
+
+    /// The node's [`Kind`], or `None` when evaluating it can fail on some
+    /// row.
+    fn kind(&self) -> Option<Kind> {
+        use BinaryOperator::*;
+        Some(match self {
+            Node::Column { ty, .. } => match ty {
+                DataType::Integer => Kind::Int,
+                DataType::Float => Kind::Num,
+                DataType::Text => Kind::Text,
+                DataType::Boolean => Kind::Bool,
+            },
+            Node::Literal(value) => match value {
+                Value::Null => Kind::Null,
+                Value::Integer(_) => Kind::Int,
+                Value::Float(_) => Kind::Num,
+                Value::Text(_) => Kind::Text,
+                Value::Boolean(_) => Kind::Bool,
+            },
+            Node::IsNull(expr) | Node::IsNotNull(expr) => {
+                expr.kind()?;
+                Kind::Bool
+            }
+            Node::Unary { op, expr } => match (op, expr.kind()?) {
+                (_, Kind::Null) => Kind::Null,
+                (UnaryOperator::Not, Kind::Bool) => Kind::Bool,
+                (UnaryOperator::Negate, kind @ (Kind::Int | Kind::Num)) => kind,
+                _ => return None,
+            },
+            Node::Binary { left, op, right } => {
+                let (l, r) = (left.kind()?, right.kind()?);
+                match op {
+                    Eq | NotEq => Kind::Bool,
+                    Lt | LtEq | Gt | GtEq => match (l, r) {
+                        (Kind::Null, _) | (_, Kind::Null) => Kind::Bool,
+                        (Kind::Int, Kind::Int)
+                        | (Kind::Text, Kind::Text)
+                        | (Kind::Bool, Kind::Bool) => Kind::Bool,
+                        _ => return None,
+                    },
+                    And | Or => match (l, r) {
+                        (Kind::Bool | Kind::Null, Kind::Bool | Kind::Null) => Kind::Bool,
+                        _ => return None,
+                    },
+                    Plus | Minus | Multiply => match (l, r) {
+                        (Kind::Null, _) | (_, Kind::Null) => Kind::Null,
+                        (Kind::Int, Kind::Int) => Kind::Int,
+                        (Kind::Int | Kind::Num, Kind::Int | Kind::Num) => Kind::Num,
+                        _ => return None,
+                    },
+                    Divide => match (l, r) {
+                        (Kind::Null, _) | (_, Kind::Null) => Kind::Null,
+                        // Division by zero.
+                        _ => return None,
+                    },
+                }
+            }
+        })
+    }
+}
+
+/// `WHERE` semantics: only a boolean `true` accepts the row.
+fn predicate_truth(value: &Value) -> Result<bool> {
+    match value {
+        Value::Boolean(b) => Ok(*b),
+        Value::Null => Ok(false),
+        other => Err(RelationalError::Evaluation(format!(
+            "WHERE predicate evaluated to non-boolean value {other}"
+        ))),
+    }
+}
+
+fn evaluate_unary(op: UnaryOperator, value: &Value) -> Result<Value> {
+    match op {
+        UnaryOperator::Not => match value {
+            Value::Null => Ok(Value::Null),
+            Value::Boolean(b) => Ok(Value::Boolean(!b)),
+            other => Err(RelationalError::Evaluation(format!(
+                "NOT applied to non-boolean value {other}"
+            ))),
+        },
+        UnaryOperator::Negate => match value {
+            Value::Null => Ok(Value::Null),
+            Value::Integer(i) => Ok(Value::Integer(-i)),
+            Value::Float(f) => Ok(Value::Float(-f)),
+            other => Err(RelationalError::Evaluation(format!(
+                "cannot negate non-numeric value {other}"
+            ))),
+        },
     }
 }
 
@@ -580,5 +887,97 @@ mod tests {
         assert!(Expr::column("id").matches(&s, &r, "t").is_err());
         let ok = Expr::binary(Expr::column("id"), BinaryOperator::Eq, Expr::literal(1i64));
         assert!(ok.matches(&s, &r, "t").unwrap());
+    }
+
+    fn predicate(sql_where: &str) -> Expr {
+        match crate::sql::parse(&format!("SELECT * FROM t WHERE {sql_where}")).unwrap() {
+            crate::sql::Statement::Select(select) => select.filter.unwrap(),
+            other => panic!("expected SELECT, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn key_ranges_come_from_top_level_conjuncts() {
+        let range = |sql: &str| predicate(sql).key_range("id");
+        let bounds = |lo, hi| Some(KeyRange { lo, hi });
+        assert_eq!(range("id = 5"), bounds(5, 5));
+        assert_eq!(range("ID = -7"), bounds(-7, -7));
+        assert_eq!(range("5 = id"), bounds(5, 5));
+        assert_eq!(range("id >= 3 AND id < 10"), bounds(3, 9));
+        assert_eq!(range("10 > id AND (3 <= id AND name = 'x')"), bounds(3, 9));
+        assert_eq!(range("id > 3 AND id <= 4"), bounds(4, 4));
+        assert_eq!(range("id = 4 AND humor > 1.5"), bounds(4, 4));
+        assert_eq!(range("id < 5 AND id > 10"), Some(KeyRange::EMPTY));
+        assert!(range("id < 5 AND id > 10").unwrap().is_empty());
+        assert_eq!(range("id > 9223372036854775807"), Some(KeyRange::EMPTY));
+        assert_eq!(range("id < 0"), bounds(i64::MIN, -1));
+        // Nothing the key column is not compared with an integer literal
+        // under AND alone.
+        for sql in [
+            "id = 17.0",
+            "id = 1 OR id = 2",
+            "id = NULL",
+            "id <> 4",
+            "NOT id = 4",
+            "id = humor",
+            "id + 1 = 5",
+            "name = 'x'",
+            "(id = 1 OR id = 2) AND name = 'x'",
+        ] {
+            assert_eq!(range(sql), None, "{sql}");
+        }
+    }
+
+    #[test]
+    fn bound_expressions_know_when_they_cannot_fail() {
+        let s = schema();
+        let fails = |sql: &str| predicate(sql).bind_lenient(&s).can_fail();
+        for sql in [
+            "id = 5 AND name = 'x'",
+            "id >= 3 AND id < 10 OR is_comedy",
+            "missing = 3 AND id < missing",
+            "NOT is_comedy AND id + 2 * id > -id",
+            "humor = 1.5 AND name IS NOT NULL",
+            "NULL",
+        ] {
+            assert!(!fails(sql), "{sql}");
+        }
+        for sql in [
+            "name < 3",
+            "id",
+            "humor > 1.0",
+            "id / 2 = 1",
+            "id = 5 AND name",
+            "NOT id = 5 AND -name = 1",
+        ] {
+            assert!(fails(sql), "{sql}");
+        }
+        assert!(predicate("id = 5 AND name = 'x'").prunes_by_key(&s, "id"));
+        assert!(!predicate("id = 5 AND name < 1").prunes_by_key(&s, "id"));
+        assert!(!predicate("humor = 5").prunes_by_key(&s, "humor"));
+        assert!(!predicate("id = 5").prunes_by_key(&s, "missing"));
+    }
+
+    #[test]
+    fn bound_evaluation_borrows_and_matches_the_reference() {
+        let s = schema();
+        let r = row();
+        let bound = Expr::column("NAME").bind(&s, "t").unwrap();
+        assert!(matches!(bound.evaluate(&r).unwrap(), Cow::Borrowed(_)));
+        assert_eq!(
+            Expr::column("missing").bind(&s, "movies"),
+            Err(RelationalError::UnknownColumn {
+                table: "movies".into(),
+                column: "missing".into()
+            })
+        );
+        let e = predicate("missing = 1 OR humor > 3");
+        assert_eq!(
+            *e.bind_lenient(&s).evaluate(&r).unwrap(),
+            e.evaluate_lenient(&s, &r, "t").unwrap()
+        );
+        assert!(e.bind(&s, "t").is_err());
+        let e = predicate("id + 1 = 2 AND NOT is_comedy IS NULL");
+        assert_eq!(e.bind(&s, "t").unwrap().matches(&r), e.matches(&s, &r, "t"));
     }
 }

@@ -6,7 +6,8 @@
 //! database of crate `crowddb-core` builds on:
 //!
 //! * typed [`Value`]s with SQL-style `NULL` and three-valued logic,
-//! * [`Schema`]s and row-oriented [`Table`]s held in a [`Catalog`],
+//! * [`Schema`]s and row-oriented [`Table`]s held in a [`Catalog`], read
+//!   through borrowed multi-slice [`TableView`]s,
 //! * an expression AST ([`Expr`]) with an evaluator,
 //! * a SQL-subset parser ([`sql::parse`]) covering `SELECT` (with `WHERE`,
 //!   `ORDER BY`, `LIMIT`), `INSERT`, `UPDATE`, `DELETE`, `CREATE TABLE`, and
@@ -43,6 +44,7 @@ pub mod schema;
 pub mod sql;
 pub mod table;
 pub mod value;
+pub mod view;
 
 pub use catalog::Catalog;
 pub use error::RelationalError;
@@ -50,12 +52,13 @@ pub use executor::{
     analyze, execute, execute_read, execute_read_indexed, execute_select_snapshot, QueryResult,
     SnapshotResult, StatementAnalysis,
 };
-pub use expr::{BinaryOperator, Expr, UnaryOperator};
+pub use expr::{BinaryOperator, BoundExpr, Expr, KeyRange, UnaryOperator};
 pub use partition::PartitionSpec;
 pub use schema::{Column, Schema};
 pub use sql::{parse, ExpansionClause, ExpansionClauseMode, Statement};
 pub use table::Table;
 pub use value::{DataType, Value};
+pub use view::TableView;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, RelationalError>;

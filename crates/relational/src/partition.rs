@@ -12,6 +12,7 @@
 //! layouts), so hashing uses a fixed SplitMix64 finalizer rather than the
 //! standard library's unspecified `Hasher`.
 
+use crate::expr::KeyRange;
 use crate::value::Value;
 
 /// How a table's rows map to partitions, keyed by the table's id column.
@@ -104,6 +105,22 @@ impl PartitionSpec {
             PartitionSpec::Single => 0,
             PartitionSpec::Hash { n } => (mix64(id as u64) % (*n).max(1) as u64) as usize,
             PartitionSpec::Range { bounds } => bounds.partition_point(|bound| *bound <= id),
+        }
+    }
+
+    /// The partitions that can hold a row whose integer id lies in
+    /// `range` — the contiguous run `k` of [`route_id`](Self::route_id)
+    /// over the range.  A range-partitioned table prunes to the
+    /// partitions the range overlaps; a hash-partitioned one only to a
+    /// single id's partition.  An empty range needs no partition and gets
+    /// one, `0..1`, so a reader still sees the schema.
+    pub fn partitions_for(&self, range: KeyRange) -> std::ops::Range<usize> {
+        if range.is_empty() {
+            return 0..1;
+        }
+        match self {
+            PartitionSpec::Hash { .. } if range.lo != range.hi => 0..self.partition_count(),
+            _ => self.route_id(range.lo)..self.route_id(range.hi) + 1,
         }
     }
 
@@ -210,5 +227,26 @@ mod tests {
         let range = PartitionSpec::Range { bounds: vec![5] };
         assert_eq!(range.route_value(&Value::Text("rocky".into())), 0);
         assert_eq!(range.route_value(&Value::Integer(7)), 1);
+    }
+
+    #[test]
+    fn key_ranges_select_the_partitions_that_can_hold_them() {
+        let range = |lo, hi| KeyRange { lo, hi };
+        let spec = PartitionSpec::Range {
+            bounds: vec![10, 20],
+        };
+        assert_eq!(spec.partitions_for(range(12, 12)), 1..2);
+        assert_eq!(spec.partitions_for(range(5, 15)), 0..2);
+        assert_eq!(spec.partitions_for(range(10, 19)), 1..2);
+        assert_eq!(spec.partitions_for(range(19, 20)), 1..3);
+        assert_eq!(spec.partitions_for(KeyRange::ALL), 0..3);
+        assert_eq!(spec.partitions_for(KeyRange::EMPTY), 0..1);
+        let hash = PartitionSpec::Hash { n: 4 };
+        for id in -50..50 {
+            let k = hash.route_id(id);
+            assert_eq!(hash.partitions_for(range(id, id)), k..k + 1);
+        }
+        assert_eq!(hash.partitions_for(range(0, 1)), 0..4);
+        assert_eq!(PartitionSpec::Single.partitions_for(range(3, 9)), 0..1);
     }
 }

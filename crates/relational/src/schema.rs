@@ -78,10 +78,17 @@ impl Schema {
         self.columns.is_empty()
     }
 
-    /// Index of a column by (case-insensitive) name.
+    /// Index of a column by (case-insensitive) name: the column whose
+    /// stored name equals `name.to_lowercase()`.
+    ///
+    /// Runs on per-row paths, so it compares without building the
+    /// lower-cased string — except for a name containing `Σ`, whose
+    /// lowercase depends on its place in the word (final `ς`), which only
+    /// [`str::to_lowercase`] knows.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        let lower = name.to_lowercase();
-        self.columns.iter().position(|c| c.name == lower)
+        self.columns
+            .iter()
+            .position(|c| name_matches(name, &c.name))
     }
 
     /// Column by (case-insensitive) name.
@@ -107,6 +114,23 @@ impl Schema {
         self.columns.push(column);
         Ok(())
     }
+}
+
+/// True when `name.to_lowercase() == lower`.  Every character but `Σ`
+/// lowercases independently of its neighbours, so only a name holding one
+/// needs the allocating [`str::to_lowercase`].
+pub(crate) fn name_matches(name: &str, lower: &str) -> bool {
+    if name.contains('Σ') {
+        return name.to_lowercase() == lower;
+    }
+    if name.is_ascii() {
+        return name.len() == lower.len()
+            && name
+                .bytes()
+                .zip(lower.bytes())
+                .all(|(n, l)| n.to_ascii_lowercase() == l);
+    }
+    name.chars().flat_map(char::to_lowercase).eq(lower.chars())
 }
 
 #[cfg(test)]
@@ -147,6 +171,45 @@ mod tests {
         assert!(schema.contains("Id"));
         assert_eq!(schema.column("name").unwrap().data_type, DataType::Text);
         assert_eq!(schema.column_names(), vec!["id", "name"]);
+    }
+
+    #[test]
+    fn lookups_follow_unicode_lowercasing() {
+        let schema = Schema::new(vec![
+            Column::new("Ärger", DataType::Integer),
+            Column::new("İD", DataType::Integer),
+            Column::new("ΟΔΟΣ", DataType::Text),
+            Column::new("straße", DataType::Text),
+        ])
+        .unwrap();
+        assert_eq!(schema.columns()[0].name, "ärger");
+        assert_eq!(schema.index_of("ÄRGER"), Some(0));
+        assert_eq!(schema.index_of("ärger"), Some(0));
+        assert_eq!(schema.index_of("arger"), None);
+        // 'İ' lowercases to two characters ("i̇").
+        assert_eq!(schema.index_of("İD"), Some(1));
+        assert_eq!(schema.index_of("id"), None);
+        // A word-final capital sigma lowercases to 'ς'.
+        assert_eq!(schema.columns()[2].name, "οδος");
+        assert_eq!(schema.index_of("ΟΔΟΣ"), Some(2));
+        assert_eq!(schema.index_of("οδος"), Some(2));
+        assert_eq!(schema.index_of("οδοσ"), None);
+        assert_eq!(schema.index_of("STRASSE"), None);
+        assert_eq!(schema.index_of("STRAßE"), Some(3));
+        // Names are compared whole, not by prefix.
+        assert_eq!(schema.index_of("ärgerlich"), None);
+        assert_eq!(schema.index_of("ärge"), None);
+        for column in schema.columns() {
+            let upper = column.name.to_uppercase();
+            assert_eq!(
+                schema.index_of(&upper),
+                schema
+                    .columns()
+                    .iter()
+                    .position(|c| c.name == upper.to_lowercase()),
+                "{upper}"
+            );
+        }
     }
 
     #[test]

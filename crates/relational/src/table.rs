@@ -1,18 +1,108 @@
 //! Row-oriented tables.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::RelationalError;
+use crate::expr::KeyRange;
 use crate::schema::{Column, Schema};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use crate::Result;
 
-/// A named table: a schema plus a row store.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A named table: a schema plus a row store, optionally with an equality
+/// index on a declared key column (see [`Table::set_key_column`]).
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Vec<Value>>,
+    /// Derived from `rows`; two tables with equal rows are equal whatever
+    /// their indexes.
+    key: Option<KeyIndex>,
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        self.name == other.name && self.schema == other.schema && self.rows == other.rows
+    }
+}
+
+/// Exact-`i64` equality index over the key column: key value → row
+/// indices.  Rows whose key is `NULL` are not indexed.
+///
+/// A unique key costs one map entry and no heap allocation of its own;
+/// only the second and later rows of a duplicated key go to `more`.
+#[derive(Debug, Clone, Default)]
+struct KeyIndex {
+    /// Lower-cased name of the declared key column.
+    column: String,
+    /// Position of the key column while the schema has it with type
+    /// `INTEGER` (every stored value is then an exact `i64` or `NULL`);
+    /// `None` leaves the index empty and unused.
+    position: Option<usize>,
+    first: HashMap<i64, usize>,
+    more: HashMap<i64, Vec<usize>>,
+}
+
+impl KeyIndex {
+    fn add(&mut self, key: i64, row: usize) {
+        if let Some(&existing) = self.first.get(&key) {
+            debug_assert_ne!(existing, row);
+            self.more.entry(key).or_default().push(row);
+        } else {
+            self.first.insert(key, row);
+        }
+    }
+
+    fn remove(&mut self, key: i64, row: usize) {
+        if self.first.get(&key) == Some(&row) {
+            match self.more.get_mut(&key) {
+                Some(rest) => {
+                    let promoted = rest.pop().expect("side entries are never empty");
+                    if rest.is_empty() {
+                        self.more.remove(&key);
+                    }
+                    self.first.insert(key, promoted);
+                }
+                None => {
+                    self.first.remove(&key);
+                }
+            }
+        } else if let Some(rest) = self.more.get_mut(&key) {
+            rest.retain(|&r| r != row);
+            if rest.is_empty() {
+                self.more.remove(&key);
+            }
+        }
+    }
+
+    /// Re-derives the index from `rows` under `schema`.
+    fn rebuild(&mut self, schema: &Schema, rows: &[Vec<Value>]) {
+        self.first.clear();
+        self.more.clear();
+        self.position = schema
+            .index_of(&self.column)
+            .filter(|&i| schema.columns()[i].data_type == DataType::Integer);
+        if let Some(position) = self.position {
+            self.first.reserve(rows.len());
+            for (row, values) in rows.iter().enumerate() {
+                if let Value::Integer(key) = values[position] {
+                    self.add(key, row);
+                }
+            }
+        }
+    }
+
+    /// Appends the rows holding `key` to `out`.
+    fn rows_with(&self, key: i64, out: &mut Vec<usize>) {
+        if let Some(&row) = self.first.get(&key) {
+            out.push(row);
+            if let Some(rest) = self.more.get(&key) {
+                out.extend_from_slice(rest);
+            }
+        }
+    }
 }
 
 impl Table {
@@ -22,7 +112,50 @@ impl Table {
             name: name.into().to_lowercase(),
             schema,
             rows: Vec::new(),
+            key: None,
         }
+    }
+
+    /// Declares `column` the table's key and builds an exact-`i64`
+    /// equality index over it, maintained by every later mutation.  The
+    /// index is live only while the schema holds `column` with type
+    /// `INTEGER`; a later `ADD COLUMN` of that name activates it.
+    pub fn set_key_column(&mut self, column: &str) {
+        let mut key = KeyIndex {
+            column: column.to_lowercase(),
+            ..KeyIndex::default()
+        };
+        key.rebuild(&self.schema, &self.rows);
+        self.key = Some(key);
+    }
+
+    /// The name of the indexed key column, when the index is live.
+    pub fn key_column(&self) -> Option<&str> {
+        self.key
+            .as_ref()
+            .filter(|key| key.position.is_some())
+            .map(|key| key.column.as_str())
+    }
+
+    /// The rows whose key lies in `range`, ascending — `None` when the
+    /// table has no live key index, or when the range holds more key
+    /// values than the table has rows (a scan is then cheaper than one
+    /// probe per value).
+    pub fn rows_in_key_range(&self, range: KeyRange) -> Option<Vec<usize>> {
+        let key = self.key.as_ref().filter(|key| key.position.is_some())?;
+        let mut rows = Vec::new();
+        if range.is_empty() {
+            return Some(rows);
+        }
+        let width = range.hi as i128 - range.lo as i128 + 1;
+        if width > self.rows.len().max(1) as i128 {
+            return None;
+        }
+        for value in range.lo..=range.hi {
+            key.rows_with(value, &mut rows);
+        }
+        rows.sort_unstable();
+        Some(rows)
     }
 
     /// The table name (lower-cased).
@@ -48,6 +181,11 @@ impl Table {
     /// All rows.
     pub fn rows(&self) -> &[Vec<Value>] {
         &self.rows
+    }
+
+    /// Consumes the table, returning its rows.
+    pub fn into_rows(self) -> Vec<Vec<Value>> {
+        self.rows
     }
 
     /// One row by index.
@@ -76,6 +214,11 @@ impl Table {
                     "value {value} is not valid for column {} of type {}",
                     column.name, column.data_type
                 )));
+            }
+        }
+        if let Some(key) = &mut self.key {
+            if let Some(Value::Integer(id)) = key.position.map(|p| &row[p]) {
+                key.add(*id, self.rows.len());
             }
         }
         self.rows.push(row);
@@ -122,6 +265,11 @@ impl Table {
         for row in &mut self.rows {
             row.push(fill.clone());
         }
+        if let Some(key) = &mut self.key {
+            if key.position.is_none() {
+                key.rebuild(&self.schema, &self.rows);
+            }
+        }
         Ok(())
     }
 
@@ -144,6 +292,18 @@ impl Table {
         let row = self.rows.get_mut(row_index).ok_or_else(|| {
             RelationalError::InvalidStatement(format!("row {row_index} does not exist"))
         })?;
+        if let Some(key) = self
+            .key
+            .as_mut()
+            .filter(|key| key.position == Some(col_idx))
+        {
+            if let Value::Integer(old) = row[col_idx] {
+                key.remove(old, row_index);
+            }
+            if let Value::Integer(new) = value {
+                key.add(new, row_index);
+            }
+        }
         row[col_idx] = value;
         Ok(())
     }
@@ -184,6 +344,10 @@ impl Table {
             keep_index += 1;
             keep
         });
+        // Deletion shifts the index of every later row.
+        if let Some(key) = &mut self.key {
+            key.rebuild(&self.schema, &self.rows);
+        }
         before - self.rows.len()
     }
 
@@ -336,5 +500,98 @@ mod tests {
         assert!(t.set_value(9, "is_comedy", Value::Boolean(true)).is_err());
         assert!(t.set_value(0, "missing", Value::Boolean(true)).is_err());
         assert!(t.null_count("missing").is_err());
+    }
+
+    /// The rows whose key equals `key`, brute force.
+    fn scan_key(t: &Table, key: i64) -> Vec<usize> {
+        (0..t.len())
+            .filter(|&i| t.value(i, "id").unwrap() == &Value::Integer(key))
+            .collect()
+    }
+
+    fn point(key: i64) -> KeyRange {
+        KeyRange { lo: key, hi: key }
+    }
+
+    #[test]
+    fn key_index_follows_inserts_deletes_and_key_updates() {
+        let mut t = movies();
+        assert_eq!(t.key_column(), None);
+        assert_eq!(t.rows_in_key_range(point(1)), None);
+        let big = (1i64 << 53) + 1;
+        for id in [5, 7, 5, -3, big, big - 1] {
+            t.insert_row(vec![Value::Integer(id), Value::from("m"), Value::Null])
+                .unwrap();
+        }
+        t.set_key_column("ID");
+        assert_eq!(t.key_column(), Some("id"));
+        // Inserts after the declaration are indexed too.
+        t.insert_row(vec![Value::Integer(5), Value::from("m"), Value::Null])
+            .unwrap();
+        assert_eq!(t.rows_in_key_range(point(5)), Some(vec![0, 2, 6]));
+        assert_eq!(t.rows_in_key_range(point(big)), Some(vec![4]));
+        assert_eq!(t.rows_in_key_range(point(big - 1)), Some(vec![5]));
+        assert_eq!(t.rows_in_key_range(point(6)), Some(vec![]));
+        assert_eq!(t.rows_in_key_range(KeyRange::EMPTY), Some(vec![]));
+        assert_eq!(
+            t.rows_in_key_range(KeyRange { lo: -3, hi: 3 }),
+            Some(vec![3])
+        );
+        // A range holding more keys than the table has rows is left to a
+        // scan.
+        assert_eq!(t.rows_in_key_range(KeyRange { lo: 0, hi: 7 }), None);
+        assert_eq!(t.rows_in_key_range(KeyRange::ALL), None);
+
+        // Deleting shifts later rows.
+        assert_eq!(t.delete_rows(&[0, 3]), 2);
+        assert_eq!(t.rows_in_key_range(point(5)), Some(vec![1, 4]));
+        assert_eq!(t.rows_in_key_range(point(-3)), Some(vec![]));
+
+        // Updating the key moves the row between keys — first and later
+        // holders of a duplicated key alike.
+        t.set_value(1, "id", Value::Integer(9)).unwrap();
+        assert_eq!(t.rows_in_key_range(point(5)), Some(vec![4]));
+        assert_eq!(t.rows_in_key_range(point(9)), Some(vec![1]));
+        t.set_value(4, "id", Value::Integer(7)).unwrap();
+        assert_eq!(t.rows_in_key_range(point(5)), Some(vec![]));
+        assert_eq!(t.rows_in_key_range(point(7)), Some(vec![0, 4]));
+        t.set_value(0, "id", Value::Integer(9)).unwrap();
+        assert_eq!(t.rows_in_key_range(point(7)), Some(vec![4]));
+        assert_eq!(t.rows_in_key_range(point(9)), Some(vec![0, 1]));
+        // Other columns leave the index alone.
+        t.set_value(0, "year", Value::Integer(9)).unwrap();
+        for key in [-3, 5, 7, 9, big, big - 1] {
+            assert_eq!(t.rows_in_key_range(point(key)), Some(scan_key(&t, key)));
+        }
+
+        // Clones carry the index; equality ignores it.
+        let copy = t.clone();
+        assert_eq!(copy.rows_in_key_range(point(9)), Some(vec![0, 1]));
+        let mut plain = movies();
+        for row in t.rows() {
+            plain.insert_row(row.clone()).unwrap();
+        }
+        assert_eq!(plain, t);
+        assert_eq!(plain.key_column(), None);
+        assert_eq!(copy.into_rows(), t.rows());
+    }
+
+    #[test]
+    fn key_index_needs_an_integer_column() {
+        let mut t = movies();
+        t.insert_row(vec![Value::Integer(1), Value::from("m"), Value::Null])
+            .unwrap();
+        t.set_key_column("name");
+        assert_eq!(t.key_column(), None);
+        // A key declared before its column exists comes alive with it.
+        t.set_key_column("rank");
+        assert_eq!(t.key_column(), None);
+        t.add_column(
+            Column::new("rank", DataType::Integer),
+            Some(Value::Integer(4)),
+        )
+        .unwrap();
+        assert_eq!(t.key_column(), Some("rank"));
+        assert_eq!(t.rows_in_key_range(point(4)), Some(vec![0]));
     }
 }

@@ -109,6 +109,9 @@ impl Value {
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
+            // Exact: widening both sides to f64 would equate distinct ids
+            // beyond 2^53.
+            (Value::Integer(a), Value::Integer(b)) => Some(a.cmp(b)),
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Boolean(a), Value::Boolean(b)) => Some(a.cmp(b)),
             _ => {
@@ -233,6 +236,24 @@ mod tests {
         assert_eq!(Value::Integer(1).compare(&Value::Null), None);
         // Incomparable types.
         assert_eq!(Value::Text("a".into()).compare(&Value::Integer(1)), None);
+    }
+
+    #[test]
+    fn integers_compare_exactly_beyond_f64_precision() {
+        let above = Value::Integer((1 << 53) + 1);
+        let below = Value::Integer(1 << 53);
+        assert_eq!(above.sql_eq(&below), Some(false));
+        assert_eq!(above.compare(&below), Some(Ordering::Greater));
+        assert_eq!(
+            Value::Integer(i64::MAX).compare(&Value::Integer(i64::MAX - 1)),
+            Some(Ordering::Greater)
+        );
+        // Mixed integer/float comparisons stay numeric.
+        assert_eq!(below.sql_eq(&Value::Float(9007199254740992.0)), Some(true));
+        assert_eq!(
+            Value::Integer(17).compare(&Value::Float(17.5)),
+            Some(Ordering::Less)
+        );
     }
 
     #[test]

@@ -199,3 +199,173 @@ proptest! {
         }
     }
 }
+
+/// Columns of the bound-evaluation properties; `zz` is absent from the
+/// schema, so only lenient binding accepts it.
+const EXPR_COLUMNS: [&str; 5] = ["i", "f", "t", "b", "zz"];
+
+fn expr_schema() -> Schema {
+    Schema::new(vec![
+        Column::new("i", DataType::Integer),
+        Column::new("f", DataType::Float),
+        Column::new("t", DataType::Text),
+        Column::new("b", DataType::Boolean),
+    ])
+    .unwrap()
+}
+
+/// A literal of any type, small enough that arithmetic never overflows.
+fn literal_of(choice: u32) -> Value {
+    match choice % 9 {
+        0 => Value::Null,
+        1 | 2 => Value::Integer(choice as i64 % 7 - 3),
+        3 => Value::Float((choice % 5) as f64 - 1.5),
+        4 => Value::Text(["a", "b"][(choice / 9 % 2) as usize].into()),
+        5 => Value::Float(0.0),
+        _ => Value::Boolean(choice.is_multiple_of(2)),
+    }
+}
+
+/// An expression tree decoded from `choices` (depth at most `depth`).
+fn expr_of(choices: &mut impl Iterator<Item = u32>, depth: u32) -> Expr {
+    use relational::{BinaryOperator as B, UnaryOperator as U};
+    let choice = choices.next().unwrap_or(0);
+    if depth == 0 || choice.is_multiple_of(4) {
+        return if choice % 8 < 5 {
+            Expr::column(EXPR_COLUMNS[(choice / 8 % 5) as usize])
+        } else {
+            Expr::Literal(literal_of(choice / 8))
+        };
+    }
+    let mut sub = || Box::new(expr_of(choices, depth - 1));
+    match choice / 4 % 16 {
+        0 => Expr::UnaryOp {
+            op: U::Not,
+            expr: sub(),
+        },
+        1 => Expr::UnaryOp {
+            op: U::Negate,
+            expr: sub(),
+        },
+        2 => Expr::IsNull(sub()),
+        3 => Expr::IsNotNull(sub()),
+        n => {
+            let op = [
+                B::Eq,
+                B::NotEq,
+                B::Lt,
+                B::LtEq,
+                B::Gt,
+                B::GtEq,
+                B::And,
+                B::Or,
+                B::Plus,
+                B::Minus,
+                B::Multiply,
+                B::Divide,
+            ][(n - 4) as usize];
+            Expr::BinaryOp {
+                left: sub(),
+                op,
+                right: sub(),
+            }
+        }
+    }
+}
+
+/// One row of `expr_schema`, any cell possibly NULL (a FLOAT cell may hold
+/// an integer, as the column type allows).
+fn row_of(choices: &[u32]) -> Vec<Value> {
+    let cell = |c: u32, value: Value| {
+        if c.is_multiple_of(5) {
+            Value::Null
+        } else {
+            value
+        }
+    };
+    vec![
+        cell(choices[0], Value::Integer(choices[0] as i64 % 7 - 3)),
+        cell(
+            choices[1],
+            if choices[1].is_multiple_of(3) {
+                Value::Integer(choices[1] as i64 % 4)
+            } else {
+                Value::Float(choices[1] as f64 % 4.0 - 1.5)
+            },
+        ),
+        cell(
+            choices[2],
+            Value::Text(["a", "b"][choices[2] as usize % 2].into()),
+        ),
+        cell(choices[3], Value::Boolean(choices[3].is_multiple_of(2))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn bound_evaluation_equals_the_reference_evaluator(
+        tree in prop::collection::vec(0u32..1_000_000, 32),
+        cells in prop::collection::vec(0u32..1_000, 4),
+    ) {
+        let schema = expr_schema();
+        let expr = expr_of(&mut tree.into_iter(), 4);
+        let row = row_of(&cells);
+
+        let lenient = expr.bind_lenient(&schema);
+        prop_assert_eq!(
+            lenient.evaluate(&row).map(|v| v.into_owned()),
+            expr.evaluate_lenient(&schema, &row, "t")
+        );
+        prop_assert_eq!(lenient.matches(&row), expr.matches_lenient(&schema, &row, "t"));
+        if !lenient.can_fail() {
+            prop_assert!(lenient.matches(&row).is_ok(), "{expr:?} failed on {row:?}");
+        }
+
+        match expr.bind(&schema, "t") {
+            Ok(strict) => {
+                prop_assert_eq!(
+                    strict.evaluate(&row).map(|v| v.into_owned()),
+                    expr.evaluate(&schema, &row, "t")
+                );
+                prop_assert_eq!(strict.matches(&row), expr.matches(&schema, &row, "t"));
+            }
+            Err(e) => {
+                prop_assert!(expr.referenced_columns().contains(&"zz".to_string()), "{e}");
+                prop_assert!(expr.evaluate(&schema, &row, "t").is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn key_index_probes_answer_like_a_scan(
+        ids in prop::collection::vec(-20i64..20, 0..60),
+        lo in -25i64..25,
+        width in 0i64..12,
+        point in any::<bool>(),
+    ) {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Integer),
+            Column::new("n", DataType::Integer),
+        ])
+        .unwrap();
+        let mut plain = Table::new("t", schema);
+        for (n, id) in ids.iter().enumerate() {
+            let id = if n % 7 == 3 { Value::Null } else { Value::Integer(*id) };
+            plain.insert_row(vec![id, Value::Integer(n as i64)]).unwrap();
+        }
+        let mut keyed = plain.clone();
+        keyed.set_key_column("id");
+        let hi = lo + width;
+        let sql = if point {
+            format!("SELECT n, id FROM t WHERE id = {lo} AND n >= 0")
+        } else {
+            format!("SELECT n FROM t WHERE id >= {lo} AND {hi} >= id ORDER BY id DESC LIMIT 5")
+        };
+        let statement = parse(&sql).unwrap();
+        let scan = executor::execute_read_indexed(&statement, &(&plain).into()).unwrap();
+        let probed = executor::execute_read_indexed(&statement, &(&keyed).into()).unwrap();
+        prop_assert_eq!(scan, probed);
+    }
+}
