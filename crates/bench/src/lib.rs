@@ -268,6 +268,38 @@ mod tests {
         assert!(source_g > 0.85);
     }
 
+    /// Table 3's shape at quick scale, with the seeds `table3_small_samples`
+    /// uses: the perceptual space's mean g-mean over the genres rises with
+    /// the sample size and beats the metadata space at every size.
+    #[test]
+    fn table3_perceptual_space_learns_from_small_samples_and_beats_metadata() {
+        let scale = ExperimentScale::quick();
+        let ctx = MovieContext::build(scale, 7007);
+        let genre_mean = |space: &PerceptualSpace, n: usize, seed: u64| {
+            let values: Vec<f64> = (0..ctx.domain.category_names().len())
+                .filter_map(|cat| {
+                    let labels = ctx.domain.labels_for_category(cat);
+                    mean_small_sample_gmean(space, &labels, n, scale.repetitions, seed + cat as u64)
+                })
+                .collect();
+            assert!(!values.is_empty(), "no genre has {n} examples per class");
+            values.iter().sum::<f64>() / values.len() as f64
+        };
+        let ns = [10, 20, 40];
+        let perceptual: Vec<f64> = ns.iter().map(|&n| genre_mean(&ctx.space, n, 100)).collect();
+        let metadata: Vec<f64> = ns
+            .iter()
+            .map(|&n| genre_mean(&ctx.metadata_space, n, 200))
+            .collect();
+        assert!(
+            perceptual.windows(2).all(|w| w[0] < w[1]),
+            "perceptual g-means {perceptual:?} do not rise with n"
+        );
+        for (p, m) in perceptual.iter().zip(&metadata) {
+            assert!(p > m, "perceptual {perceptual:?} vs metadata {metadata:?}");
+        }
+    }
+
     #[test]
     fn mean_gmean_handles_impossible_sample_sizes() {
         let scale = ExperimentScale::quick();

@@ -18,12 +18,9 @@
 //! the exact objective of the paper.  The paper reports that `d = 100` and
 //! `λ = 0.02` work well across data sets; those are the defaults here.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-
 use crate::error::PerceptualError;
 use crate::ratings::RatingDataset;
+use crate::sgd::{self, Factors, Hyperparameters};
 use crate::space::PerceptualSpace;
 use crate::{ItemId, Result, UserId};
 
@@ -60,37 +57,17 @@ impl Default for EuclideanEmbeddingConfig {
     }
 }
 
-impl EuclideanEmbeddingConfig {
-    fn validate(&self) -> Result<()> {
-        if self.dimensions == 0 {
-            return Err(PerceptualError::InvalidConfig(
-                "dimensions must be >= 1".into(),
-            ));
+impl From<&EuclideanEmbeddingConfig> for Hyperparameters {
+    fn from(c: &EuclideanEmbeddingConfig) -> Self {
+        Hyperparameters {
+            dimensions: c.dimensions,
+            lambda: c.lambda,
+            learning_rate: c.learning_rate,
+            learning_rate_decay: c.learning_rate_decay,
+            epochs: c.epochs,
+            init_scale: c.init_scale,
+            seed: c.seed,
         }
-        if self.lambda < 0.0 || !self.lambda.is_finite() {
-            return Err(PerceptualError::InvalidConfig(
-                "lambda must be non-negative".into(),
-            ));
-        }
-        if self.learning_rate <= 0.0 || !self.learning_rate.is_finite() {
-            return Err(PerceptualError::InvalidConfig(
-                "learning_rate must be positive".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.learning_rate_decay) {
-            return Err(PerceptualError::InvalidConfig(
-                "learning_rate_decay must lie in (0, 1]".into(),
-            ));
-        }
-        if self.epochs == 0 {
-            return Err(PerceptualError::InvalidConfig("epochs must be >= 1".into()));
-        }
-        if self.init_scale <= 0.0 {
-            return Err(PerceptualError::InvalidConfig(
-                "init_scale must be positive".into(),
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -104,10 +81,8 @@ pub struct TrainingTrace {
 /// A trained Euclidean-embedding factor model.
 #[derive(Debug, Clone)]
 pub struct EuclideanEmbeddingModel {
-    dimensions: usize,
     global_mean: f64,
-    item_coords: Vec<Vec<f64>>,
-    user_coords: Vec<Vec<f64>>,
+    coords: Factors,
     item_bias: Vec<f64>,
     user_bias: Vec<f64>,
     trace: TrainingTrace,
@@ -116,25 +91,8 @@ pub struct EuclideanEmbeddingModel {
 impl EuclideanEmbeddingModel {
     /// Trains the model on a rating dataset.
     pub fn train(dataset: &RatingDataset, config: &EuclideanEmbeddingConfig) -> Result<Self> {
-        config.validate()?;
-        let d = config.dimensions;
         let mu = dataset.global_mean();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-
-        let mut item_coords: Vec<Vec<f64>> = (0..dataset.n_items())
-            .map(|_| {
-                (0..d)
-                    .map(|_| (rng.gen::<f64>() - 0.5) * config.init_scale)
-                    .collect()
-            })
-            .collect();
-        let mut user_coords: Vec<Vec<f64>> = (0..dataset.n_users())
-            .map(|_| {
-                (0..d)
-                    .map(|_| (rng.gen::<f64>() - 0.5) * config.init_scale)
-                    .collect()
-            })
-            .collect();
+        let lambda = config.lambda;
         // Biases start from the observed per-entity deviations from μ, which
         // speeds up convergence considerably.
         let mut item_bias: Vec<f64> = (0..dataset.n_items())
@@ -144,56 +102,31 @@ impl EuclideanEmbeddingModel {
             .map(|u| dataset.user_mean(u as UserId) - mu)
             .collect();
 
-        let mut order: Vec<usize> = (0..dataset.len()).collect();
-        let mut lr = config.learning_rate;
-        let ratings = dataset.ratings();
-        let mut train_rmse = Vec::with_capacity(config.epochs);
+        let (coords, train_rmse) = sgd::train(dataset, &config.into(), |lr, r, a, b| {
+            let (m, u) = (r.item as usize, r.user as usize);
+            let sq_dist: f64 = a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum();
+            let err = r.score - (mu + item_bias[m] + user_bias[u] - sq_dist);
 
-        for _epoch in 0..config.epochs {
-            order.shuffle(&mut rng);
-            let mut sse = 0.0;
-            for &idx in &order {
-                let r = &ratings[idx];
-                let (m, u) = (r.item as usize, r.user as usize);
-                let (sq_dist, err) = {
-                    let a = &item_coords[m];
-                    let b = &user_coords[u];
-                    let sq_dist: f64 = a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum();
-                    let pred = mu + item_bias[m] + user_bias[u] - sq_dist;
-                    (sq_dist, r.score - pred)
-                };
-                sse += err * err;
+            // Bias updates: ∂L/∂δ = −2e + 2λδ.
+            item_bias[m] += lr * 2.0 * (err - lambda * item_bias[m]);
+            user_bias[u] += lr * 2.0 * (err - lambda * user_bias[u]);
 
-                // Bias updates: ∂L/∂δ = −2e + 2λδ.
-                item_bias[m] += lr * 2.0 * (err - config.lambda * item_bias[m]);
-                user_bias[u] += lr * 2.0 * (err - config.lambda * user_bias[u]);
-
-                // Coordinate updates:
-                //   ∂L/∂a = 4 (a − b) (e + λ ‖a − b‖²)
-                //   ∂L/∂b = −∂L/∂a
-                let step = lr * 4.0 * (err + config.lambda * sq_dist);
-                let (a, b) = (&mut item_coords[m], &mut user_coords[u]);
-                for k in 0..d {
-                    let diff = a[k] - b[k];
-                    a[k] -= step * diff;
-                    b[k] += step * diff;
-                }
+            // Coordinate updates:
+            //   ∂L/∂a = 4 (a − b) (e + λ ‖a − b‖²)
+            //   ∂L/∂b = −∂L/∂a
+            let step = lr * 4.0 * (err + lambda * sq_dist);
+            for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+                let diff = *x - *y;
+                *x -= step * diff;
+                *y += step * diff;
             }
-            let rmse = (sse / ratings.len() as f64).sqrt();
-            if !rmse.is_finite() {
-                return Err(PerceptualError::Numerical(
-                    "SGD diverged: non-finite training error (reduce the learning rate)".into(),
-                ));
-            }
-            train_rmse.push(rmse);
-            lr *= config.learning_rate_decay;
-        }
+            err
+        })?;
+        sgd::ensure_finite(item_bias.iter().chain(&user_bias))?;
 
         Ok(EuclideanEmbeddingModel {
-            dimensions: d,
             global_mean: mu,
-            item_coords,
-            user_coords,
+            coords,
             item_bias,
             user_bias,
             trace: TrainingTrace { train_rmse },
@@ -202,7 +135,7 @@ impl EuclideanEmbeddingModel {
 
     /// Dimensionality of the embedding.
     pub fn dimensions(&self) -> usize {
-        self.dimensions
+        self.coords.dimensions
     }
 
     /// Global rating mean `μ`.
@@ -212,28 +145,22 @@ impl EuclideanEmbeddingModel {
 
     /// Number of embedded items.
     pub fn n_items(&self) -> usize {
-        self.item_coords.len()
+        self.item_bias.len()
     }
 
     /// Number of embedded users.
     pub fn n_users(&self) -> usize {
-        self.user_coords.len()
+        self.user_bias.len()
     }
 
     /// Coordinates of an item.
     pub fn item_vector(&self, item: ItemId) -> Result<&[f64]> {
-        self.item_coords
-            .get(item as usize)
-            .map(|v| v.as_slice())
-            .ok_or_else(|| PerceptualError::UnknownId(format!("item {item}")))
+        self.coords.item(item)
     }
 
     /// Coordinates of a user.
     pub fn user_vector(&self, user: UserId) -> Result<&[f64]> {
-        self.user_coords
-            .get(user as usize)
-            .map(|v| v.as_slice())
-            .ok_or_else(|| PerceptualError::UnknownId(format!("user {user}")))
+        self.coords.user(user)
     }
 
     /// Bias `δ_m` of an item.
@@ -280,8 +207,7 @@ impl EuclideanEmbeddingModel {
 
     /// Extracts the item-side coordinates as a [`PerceptualSpace`].
     pub fn to_space(&self) -> PerceptualSpace {
-        PerceptualSpace::new(self.item_coords.clone())
-            .expect("item coordinates of a trained model are always consistent")
+        self.coords.to_space()
     }
 }
 
@@ -289,6 +215,8 @@ impl EuclideanEmbeddingModel {
 mod tests {
     use super::*;
     use crate::ratings::Rating;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Builds a synthetic dataset with two latent clusters of items: users of
     /// group A love cluster-0 items and dislike cluster-1 items, group B the
@@ -337,8 +265,27 @@ mod tests {
         assert!(bad(|c| c.lambda = -1.0));
         assert!(bad(|c| c.learning_rate = 0.0));
         assert!(bad(|c| c.learning_rate_decay = 1.5));
+        assert!(bad(|c| c.learning_rate_decay = 0.0));
+        assert!(bad(|c| c.lambda = f64::NAN));
         assert!(bad(|c| c.epochs = 0));
         assert!(bad(|c| c.init_scale = 0.0));
+        assert!(bad(|c| c.init_scale = f64::NAN));
+    }
+
+    #[test]
+    fn divergence_in_the_last_update_is_an_error() {
+        // Every residual is finite, but the one update overflows.
+        let data = RatingDataset::from_ratings(1, 1, vec![Rating::new(0, 0, 4.0)]).unwrap();
+        let config = EuclideanEmbeddingConfig {
+            dimensions: 1,
+            learning_rate: f64::MAX,
+            epochs: 1,
+            ..Default::default()
+        };
+        assert!(matches!(
+            EuclideanEmbeddingModel::train(&data, &config),
+            Err(PerceptualError::Numerical(_))
+        ));
     }
 
     #[test]

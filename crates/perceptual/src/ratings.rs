@@ -92,6 +92,12 @@ impl RatingDataset {
                 "the rating collection is empty".into(),
             ));
         }
+        if u32::try_from(ratings.len()).is_err() {
+            return Err(PerceptualError::InvalidRatings(format!(
+                "{} ratings exceed the limit of u32::MAX",
+                ratings.len()
+            )));
+        }
         if n_items == 0 || n_users == 0 {
             return Err(PerceptualError::InvalidRatings(
                 "the dataset must declare at least one item and one user".into(),

@@ -7,12 +7,8 @@
 //! could be derived from it.  It is retained here as the baseline for the
 //! design-choice ablation benches.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-
-use crate::error::PerceptualError;
 use crate::ratings::RatingDataset;
+use crate::sgd::{self, Factors, Hyperparameters};
 use crate::space::PerceptualSpace;
 use crate::{ItemId, Result, UserId};
 
@@ -49,37 +45,25 @@ impl Default for SvdConfig {
     }
 }
 
-impl SvdConfig {
-    fn validate(&self) -> Result<()> {
-        if self.dimensions == 0 {
-            return Err(PerceptualError::InvalidConfig(
-                "dimensions must be >= 1".into(),
-            ));
+impl From<&SvdConfig> for Hyperparameters {
+    fn from(c: &SvdConfig) -> Self {
+        Hyperparameters {
+            dimensions: c.dimensions,
+            lambda: c.lambda,
+            learning_rate: c.learning_rate,
+            learning_rate_decay: c.learning_rate_decay,
+            epochs: c.epochs,
+            init_scale: c.init_scale,
+            seed: c.seed,
         }
-        if self.lambda < 0.0 {
-            return Err(PerceptualError::InvalidConfig(
-                "lambda must be non-negative".into(),
-            ));
-        }
-        if self.learning_rate <= 0.0 {
-            return Err(PerceptualError::InvalidConfig(
-                "learning_rate must be positive".into(),
-            ));
-        }
-        if self.epochs == 0 {
-            return Err(PerceptualError::InvalidConfig("epochs must be >= 1".into()));
-        }
-        Ok(())
     }
 }
 
 /// A trained dot-product factor model.
 #[derive(Debug, Clone)]
 pub struct SvdModel {
-    dimensions: usize,
     global_mean: f64,
-    item_factors: Vec<Vec<f64>>,
-    user_factors: Vec<Vec<f64>>,
+    pub(crate) factors: Factors,
     train_rmse: Vec<f64>,
 }
 
@@ -87,95 +71,39 @@ impl SvdModel {
     /// Trains the model with plain SGD on `r ≈ μ + ⟨a_m, b_u⟩` (the global
     /// mean is subtracted so factors model deviations only).
     pub fn train(dataset: &RatingDataset, config: &SvdConfig) -> Result<Self> {
-        config.validate()?;
-        let d = config.dimensions;
         let mu = dataset.global_mean();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-
-        let mut item_factors: Vec<Vec<f64>> = (0..dataset.n_items())
-            .map(|_| {
-                (0..d)
-                    .map(|_| (rng.gen::<f64>() - 0.5) * config.init_scale)
-                    .collect()
-            })
-            .collect();
-        let mut user_factors: Vec<Vec<f64>> = (0..dataset.n_users())
-            .map(|_| {
-                (0..d)
-                    .map(|_| (rng.gen::<f64>() - 0.5) * config.init_scale)
-                    .collect()
-            })
-            .collect();
-
-        let mut order: Vec<usize> = (0..dataset.len()).collect();
-        let mut lr = config.learning_rate;
-        let ratings = dataset.ratings();
-        let mut train_rmse = Vec::with_capacity(config.epochs);
-
-        for _ in 0..config.epochs {
-            order.shuffle(&mut rng);
-            let mut sse = 0.0;
-            for &idx in &order {
-                let r = &ratings[idx];
-                let (m, u) = (r.item as usize, r.user as usize);
-                let pred = mu
-                    + item_factors[m]
-                        .iter()
-                        .zip(user_factors[u].iter())
-                        .map(|(a, b)| a * b)
-                        .sum::<f64>();
-                let err = r.score - pred;
-                sse += err * err;
-                for k in 0..d {
-                    let a = item_factors[m][k];
-                    let b = user_factors[u][k];
-                    item_factors[m][k] += lr * (err * b - config.lambda * a);
-                    user_factors[u][k] += lr * (err * a - config.lambda * b);
-                }
+        let lambda = config.lambda;
+        let (factors, train_rmse) = sgd::train(dataset, &config.into(), |lr, r, a, b| {
+            let err = r.score - (mu + a.iter().zip(b.iter()).map(|(x, y)| x * y).sum::<f64>());
+            for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+                let (ak, bk) = (*x, *y);
+                *x += lr * (err * bk - lambda * ak);
+                *y += lr * (err * ak - lambda * bk);
             }
-            let rmse = (sse / ratings.len() as f64).sqrt();
-            if !rmse.is_finite() {
-                return Err(PerceptualError::Numerical(
-                    "SGD diverged: non-finite training error".into(),
-                ));
-            }
-            train_rmse.push(rmse);
-            lr *= config.learning_rate_decay;
-        }
-
+            err
+        })?;
         Ok(SvdModel {
-            dimensions: d,
             global_mean: mu,
-            item_factors,
-            user_factors,
+            factors,
             train_rmse,
         })
     }
 
     /// Number of latent factors.
     pub fn dimensions(&self) -> usize {
-        self.dimensions
+        self.factors.dimensions
     }
 
     /// Predicted rating of `item` by `user`.
     pub fn predict(&self, item: ItemId, user: UserId) -> Result<f64> {
-        let a = self
-            .item_factors
-            .get(item as usize)
-            .ok_or_else(|| PerceptualError::UnknownId(format!("item {item}")))?;
-        let b = self
-            .user_factors
-            .get(user as usize)
-            .ok_or_else(|| PerceptualError::UnknownId(format!("user {user}")))?;
+        let a = self.factors.item(item)?;
+        let b = self.factors.user(user)?;
         Ok(self.global_mean + a.iter().zip(b.iter()).map(|(x, y)| x * y).sum::<f64>())
     }
 
     /// Latent factors of an item.
     pub fn item_vector(&self, item: ItemId) -> Result<&[f64]> {
-        self.item_factors
-            .get(item as usize)
-            .map(|v| v.as_slice())
-            .ok_or_else(|| PerceptualError::UnknownId(format!("item {item}")))
+        self.factors.item(item)
     }
 
     /// RMSE on an arbitrary rating set.
@@ -196,15 +124,17 @@ impl SvdModel {
     /// Item factors exported as a [`PerceptualSpace`] (used by the ablation
     /// bench comparing SVD and Euclidean embeddings for classification).
     pub fn to_space(&self) -> PerceptualSpace {
-        PerceptualSpace::new(self.item_factors.clone())
-            .expect("item factors of a trained model are always consistent")
+        self.factors.to_space()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PerceptualError;
     use crate::ratings::Rating;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn preference_dataset(seed: u64) -> RatingDataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -236,38 +166,35 @@ mod tests {
     #[test]
     fn config_is_validated() {
         let d = preference_dataset(1);
-        assert!(SvdModel::train(
-            &d,
-            &SvdConfig {
-                dimensions: 0,
-                ..quick_config()
-            }
-        )
-        .is_err());
-        assert!(SvdModel::train(
-            &d,
-            &SvdConfig {
-                lambda: -0.1,
-                ..quick_config()
-            }
-        )
-        .is_err());
-        assert!(SvdModel::train(
-            &d,
-            &SvdConfig {
-                learning_rate: 0.0,
-                ..quick_config()
-            }
-        )
-        .is_err());
-        assert!(SvdModel::train(
-            &d,
-            &SvdConfig {
-                epochs: 0,
-                ..quick_config()
-            }
-        )
-        .is_err());
+        let bad = |f: fn(&mut SvdConfig)| {
+            let mut c = quick_config();
+            f(&mut c);
+            SvdModel::train(&d, &c).is_err()
+        };
+        assert!(bad(|c| c.dimensions = 0));
+        assert!(bad(|c| c.lambda = -0.1));
+        assert!(bad(|c| c.lambda = f64::NAN));
+        assert!(bad(|c| c.learning_rate = 0.0));
+        assert!(bad(|c| c.learning_rate_decay = 0.0));
+        assert!(bad(|c| c.epochs = 0));
+        assert!(bad(|c| c.init_scale = f64::NAN));
+    }
+
+    #[test]
+    fn divergence_in_the_last_update_is_an_error() {
+        // Every residual is finite, but the one update overflows.
+        let data = RatingDataset::from_ratings(1, 1, vec![Rating::new(0, 0, 4.0)]).unwrap();
+        let config = SvdConfig {
+            dimensions: 2,
+            learning_rate: f64::MAX,
+            init_scale: 10.0,
+            epochs: 1,
+            ..Default::default()
+        };
+        assert!(matches!(
+            SvdModel::train(&data, &config),
+            Err(PerceptualError::Numerical(_))
+        ));
     }
 
     #[test]
